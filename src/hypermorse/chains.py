@@ -63,16 +63,33 @@ def boundary_matrix(complex_, n, coeff):
     canonical n-simplex basis to the (n-1)-simplex basis."""
     if n < 0:
         raise ValueError("degree must be non-negative")
-    cols = complex_.edges_of_dim(n)
     rows = complex_.edges_of_dim(n - 1) if n >= 1 else ()
+    return _boundary_block(complex_.edges_of_dim(n), rows, coeff)
+
+
+def _boundary_block(cols, rows, coeff):
+    """The boundary map restricted to the chains on the cells `cols`, read
+    only in the coordinates of the cells `rows` (faces outside are dropped)."""
     index = {e: i for i, e in enumerate(rows)}
     data = [[0] * len(cols) for _ in rows]
     for j, e in enumerate(cols):
-        for i, v in enumerate(e):
-            face = e[:i] + e[i + 1 :]
-            if face:
-                data[index[face]][j] = coeff.normalize(-1 if i % 2 else 1)
+        for i in range(len(e)):
+            r = index.get(e[:i] + e[i + 1 :])
+            if r is not None:
+                data[r][j] = coeff.normalize(-1 if i % 2 else 1)
     return ExactMatrix(len(rows), len(cols), data)
+
+
+def _non_hyperedges(h, delta, n):
+    return [e for e in delta.edges_of_dim(n) if not h.contains_edge(e)]
+
+
+def _place_rows(m, sub_cells, cells):
+    """m, whose rows are indexed by sub_cells, with its rows moved to their
+    positions among cells (the other rows zero)."""
+    row_of = dict(zip(sub_cells, m.data))
+    zero = (0,) * m.cols
+    return ExactMatrix(len(cells), m.cols, [row_of.get(e, zero) for e in cells])
 
 
 def _inclusion_matrix(ambient_edges, sub_edges):
@@ -179,39 +196,49 @@ def edge_module_matrix(h, delta, n):
 
 
 def inf_complex(h, coeff=Z, delta=None):
-    """Largest sub-chain complex of C_*(ΔH) contained in the hyperedge modules:
-    degree n is the intersection of the degree-n module with the boundary
-    preimage of the degree-(n-1) module."""
+    """Largest sub-chain complex of C_*(ΔH) contained in the hyperedge modules.
+
+    Degree n is the intersection of the degree-n hyperedge module H_n with
+    the boundary preimage of H_{n-1}.  H_n is a coordinate submodule, so this
+    is Inf_n = ker(π ∂_n|H_n), where π keeps only the (n-1)-cells of ΔH that
+    are not hyperedges; its canonical basis is placed at the H_n positions of
+    the degree-n basis (zero rows change no HNF or RREF, so the placed basis
+    is canonical).
+    """
     if delta is None:
         delta = hypercore.delta_closure(h)
     basis = []
     for n in range(delta.max_dimension() + 1):
-        edges_n = edge_module_matrix(h, delta, n)
-        if n == 0:
-            basis.append(exact.canonical_basis(edges_n, coeff))
-            continue
-        bnd = boundary_matrix(delta, n, coeff)
-        pre = exact.preimage_module(bnd, edge_module_matrix(h, delta, n - 1), coeff)
-        basis.append(exact.module_intersection(edges_n, pre, coeff))
+        inside = h.edges_of_dim(n)
+        outside_below = _non_hyperedges(h, delta, n - 1) if n else ()
+        ker = exact.kernel_basis(_boundary_block(inside, outside_below, coeff), coeff)
+        basis.append(_place_rows(ker, inside, delta.edges_of_dim(n)))
     return SubChainComplex(delta, coeff, basis)
 
 
 def sup_complex(h, coeff=Z, delta=None):
-    """Smallest sub-chain complex of C_*(ΔH) containing the hyperedge modules:
-    degree n is the degree-n module plus the boundaries of the degree-(n+1)
-    module."""
+    """Smallest sub-chain complex of C_*(ΔH) containing the hyperedge modules.
+
+    Degree n is H_n + ∂H_{n+1}.  H_n is a coordinate submodule, so this is
+    Sup_n = H_n ⊕ π'∂_{n+1}(H_{n+1}), where π' keeps only the n-cells that
+    are not hyperedges.  The canonical basis is the unit columns of H_n
+    merged with the canonical basis of the second summand, ordered by leading
+    row: the supports are disjoint, so the merge is already canonical.
+    """
     if delta is None:
         delta = hypercore.delta_closure(h)
-    top = delta.max_dimension()
     basis = []
-    for n in range(top + 1):
-        edges_n = edge_module_matrix(h, delta, n)
-        if n == top:
-            basis.append(exact.canonical_basis(edges_n, coeff))
-            continue
-        bnd = boundary_matrix(delta, n + 1, coeff)
-        image = exact.matmul(bnd, edge_module_matrix(h, delta, n + 1), coeff)
-        basis.append(exact.module_sum(edges_n, image, coeff))
+    for n in range(delta.max_dimension() + 1):
+        cells = delta.edges_of_dim(n)
+        outside = _non_hyperedges(h, delta, n)
+        block = _boundary_block(h.edges_of_dim(n + 1), outside, coeff)
+        rest = _place_rows(exact.canonical_basis(block, coeff), outside, cells)
+        units = [
+            exact.unit_column(len(cells), i) for i, e in enumerate(cells) if h.contains_edge(e)
+        ]
+        cols = rest.columns() + units
+        cols.sort(key=lambda col: next(i for i, x in enumerate(col) if x))
+        basis.append(ExactMatrix.from_columns(cols, len(cells)))
     return SubChainComplex(delta, coeff, basis)
 
 
@@ -293,7 +320,13 @@ def projection(ambient_h, sub_h, chain):
 
 class HomologyBasis:
     """Deterministic homology representatives of a sub-chain complex over a
-    field, with reduction of cycles to class coordinates."""
+    field, with reduction of cycles to class coordinates.
+
+    In each degree the representatives are the columns of the canonical
+    kernel basis that raise the rank of the canonical image basis, taken
+    greedily in column order.  They are read off the pivot columns of a
+    single row reduction of [im | ker].
+    """
 
     def __init__(self, scc):
         if not scc.coeff.is_field:
@@ -307,16 +340,10 @@ class HomologyBasis:
                 im = exact.canonical_basis(scc.restricted[n + 1], coeff)
             else:
                 im = ExactMatrix.zeros(scc.rank_at(n), 0)
-            reps = []
-            current = im
-            current_rank = current.cols
-            for j in range(ker.cols):
-                cand = ker.column(j)
-                trial = current.hstack(ExactMatrix.from_columns([cand], ker.rows))
-                if exact.rank(trial, coeff) > current_rank:
-                    reps.append(list(cand))
-                    current = trial
-                    current_rank += 1
+            # the kernel columns outside the span of im and the kernel columns
+            # before them: the greedy rank-increasing choice, in one elimination
+            pivots = exact.pivot_columns(im.hstack(ker), coeff)
+            reps = [list(ker.column(c - im.cols)) for c in pivots if c >= im.cols]
             stacked = im.hstack(ExactMatrix.from_columns(reps, scc.rank_at(n)))
             solver = ColumnSolver(stacked, coeff) if stacked.cols else None
             self._levels.append(

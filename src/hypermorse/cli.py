@@ -3,7 +3,8 @@
 Subcommands: complex, homology, morse, map, discrepancy.  Reports are JSON by
 default (sorted keys, fixed layout, byte-deterministic) or a plain text
 rendering with --format text.  Exit codes: 0 success, 2 parse error, 3
-invalid document, 4 invalid morphism, 5 size cap exceeded.
+invalid document, 4 invalid morphism, 5 size cap exceeded, 6 internal error
+(a consistency check failed; this is a bug).
 """
 
 from __future__ import annotations
@@ -19,7 +20,9 @@ from fractions import Fraction
 from . import __version__, chains, hypercore, morphisms, morse
 from .coeffs import CoeffSpec, Z
 from .errors import (
+    InternalConsistencyError,
     InvalidDocumentError,
+    MalformedSubcomplexError,
     MorphismError,
     NotMorseError,
     SizeCapExceeded,
@@ -31,6 +34,7 @@ EXIT_PARSE = 2
 EXIT_BAD_DOCUMENT = 3
 EXIT_BAD_MORPHISM = 4
 EXIT_SIZE_CAP = 5
+EXIT_INTERNAL = 6
 
 _RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
@@ -373,6 +377,8 @@ def _cmd_map(args, out):
     result = {"valid": True}
     kinds = ["lower", "embedded", "assoc"] if args.induced == "all" else [args.induced]
     induced = {}
+    src_delta = hypercore.delta_closure(phi.source)
+    dst_delta = hypercore.delta_closure(phi.target)
     for kind in kinds:
         hm = morphisms.induced_homology_map(phi, kind, coeff)
         induced[kind] = {
@@ -385,11 +391,11 @@ def _cmd_map(args, out):
                 for n in range(len(hm.matrices))
             },
             "source_basis": [
-                [_chain_to_json(hypercore.delta_closure(phi.source), dict(rep)) for rep in level]
+                [_chain_to_json(src_delta, dict(rep)) for rep in level]
                 for level in hm.source_basis
             ],
             "target_basis": [
-                [_chain_to_json(hypercore.delta_closure(phi.target), dict(rep)) for rep in level]
+                [_chain_to_json(dst_delta, dict(rep)) for rep in level]
                 for level in hm.target_basis
             ],
         }
@@ -441,6 +447,16 @@ def _cmd_discrepancy(args, out):
 # ---------------------------------------------------------------------------
 
 
+def _non_negative_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected an integer, got %r" % (text,)) from None
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be non-negative, got %d" % value)
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="hypermorse",
@@ -474,7 +490,12 @@ def build_parser():
     p.add_argument("file")
     p.add_argument("sub", choices=["check", "critical", "gradient", "extend"])
     p.add_argument("--on", choices=["hyper", "assoc", "lower"], default="hyper")
-    p.add_argument("--grid", type=int, default=None, help="levels per value gap for extend")
+    p.add_argument(
+        "--grid",
+        type=_non_negative_int,
+        default=None,
+        help="lower bound on the levels per value gap for extend",
+    )
     common(p)
 
     p = sub.add_parser("map", help="induced homology maps of a morphism")
@@ -521,6 +542,9 @@ def main(argv=None):
     except SizeCapExceeded as exc:
         print("size cap exceeded: %s" % exc, file=sys.stderr)
         return EXIT_SIZE_CAP
+    except (InternalConsistencyError, MalformedSubcomplexError) as exc:
+        print("internal error: %s" % exc, file=sys.stderr)
+        return EXIT_INTERNAL
     except ValueError as exc:
         print("invalid document: %s" % exc, file=sys.stderr)
         return EXIT_BAD_DOCUMENT

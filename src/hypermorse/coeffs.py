@@ -64,6 +64,12 @@ class CoeffSpec:
 
     def normalize(self, x):
         """Coerce a scalar into the canonical representation for this ring."""
+        if type(x) is int:
+            # fast path: exact ints skip the (slow, ABC-based) Fraction check
+            if self.kind == "Z":
+                return x
+            if self.kind == "Zp":
+                return x % self.p
         if self.kind == "Z":
             if isinstance(x, Fraction):
                 if x.denominator != 1:

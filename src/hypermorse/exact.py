@@ -102,22 +102,26 @@ def normalize(m, coeff):
 
 
 def matmul(a, b, coeff):
+    """Product a*b, summed only over the non-zeros of each row of b.
+
+    Every entry is coeff.normalize of its sum (of 0 where no product is
+    non-zero), with the same summation order as the dense triple loop.
+    """
     if a.cols != b.rows:
         raise ValueError("shape mismatch in matmul")
-    bd = b.data
+    b_nonzero = [[(j, y) for j, y in enumerate(row) if y] for row in b.data]
+    norm = coeff.normalize
+    zero = norm(0)
     out = []
-    for i in range(a.rows):
-        ar = a.data[i]
-        row = []
-        for j in range(b.cols):
-            s = 0
-            for k in range(a.cols):
-                x = ar[k]
-                if x:
-                    y = bd[k][j]
-                    if y:
-                        s += x * y
-            row.append(coeff.normalize(s))
+    for ar in a.data:
+        sums = {}
+        for k, x in enumerate(ar):
+            if x:
+                for j, y in b_nonzero[k]:
+                    sums[j] = sums.get(j, 0) + x * y
+        row = [zero] * b.cols
+        for j, s in sums.items():
+            row[j] = norm(s)
         out.append(row)
     return ExactMatrix(a.rows, b.cols, out)
 
@@ -163,17 +167,23 @@ def _field_closures(coeff):
     return div, submul, lambda x: x % p
 
 
-def _rref_rows_with_transform(mat, coeff):
+def _row_submul(target, source, q, support, submul):
+    for j in support:
+        target[j] = submul(target[j], q, source[j])
+
+
+def _rref_rows_with_transform(mat, coeff, transform=True):
     """Reduced row echelon form over a field with transform u (u*mat = h).
 
     Returns (h, u, pivots) where pivots is a list of (row, col) pairs; h keeps
-    zero rows so that u stays square and kernel rows can be read off.
+    zero rows so that u stays square and kernel rows can be read off.  With
+    transform=False, u is None and is never built.
     """
     div, submul, norm = _field_closures(coeff)
     m = len(mat)
     n = len(mat[0]) if m else 0
     rows = [[norm(x) for x in row] for row in mat]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)] if transform else None
     pivots = []
     r = 0
     for c in range(n):
@@ -188,25 +198,39 @@ def _rref_rows_with_transform(mat, coeff):
             continue
         if piv != r:
             rows[r], rows[piv] = rows[piv], rows[r]
-            u[r], u[piv] = u[piv], u[r]
+            if transform:
+                u[r], u[piv] = u[piv], u[r]
         a = rows[r][c]
         if a != 1:
             inv = div(1, a)
             rows[r] = [norm(x * inv) for x in rows[r]]
-            u[r] = [norm(x * inv) for x in u[r]]
+            if transform:
+                u[r] = [norm(x * inv) for x in u[r]]
+        # entries opposite zeros of the pivot row do not change
+        support = [j for j, y in enumerate(rows[r]) if y]
+        u_support = [j for j, y in enumerate(u[r]) if y] if transform else ()
         for i in range(m):
             if i != r and rows[i][c]:
                 q = rows[i][c]
-                rows[i] = [submul(x, q, y) for x, y in zip(rows[i], rows[r])]
-                u[i] = [submul(x, q, y) for x, y in zip(u[i], u[r])]
+                _row_submul(rows[i], rows[r], q, support, submul)
+                if transform:
+                    _row_submul(u[i], u[r], q, u_support, submul)
         pivots.append((r, c))
         r += 1
     return rows, u, pivots
 
 
 def _rref_rows(mat, coeff):
-    h, _, pivots = _rref_rows_with_transform(mat, coeff)
+    h, _, pivots = _rref_rows_with_transform(mat, coeff, transform=False)
     return h[: len(pivots)]
+
+
+def pivot_columns(m, coeff):
+    """Indices of the columns of m outside the span of the columns before
+    them (field coefficients): the greedy rank-increasing choice, read off one
+    row reduction."""
+    _, _, pivots = _rref_rows_with_transform(m.row_lists(), coeff, transform=False)
+    return [c for _, c in pivots]
 
 
 # ---------------------------------------------------------------------------

@@ -365,6 +365,8 @@ def search_extension(f, grid_levels=None, max_unknowns=6):
     Unknown cells get values from a grid of candidate levels; because the
     Morse conditions only compare values, the grid realizes every weak order
     of the unknowns against the fixed values, so the search is complete.
+    grid_levels is a lower bound on the fresh levels per value gap; it never
+    drops below the number of unknowns, which completeness needs.
     Returns the extension with host the associated complex, or None.
     """
     _require_morse(f)
@@ -377,7 +379,7 @@ def search_extension(f, grid_levels=None, max_unknowns=6):
         raise SizeCapExceeded(
             "%d unknown cells exceed the configured cap of %d" % (k, max_unknowns)
         )
-    per_gap = grid_levels if grid_levels is not None else k
+    per_gap = k if grid_levels is None else max(grid_levels, k)
     levels = _candidate_levels(f.values.values(), per_gap)
 
     faces_d, cofaces_d = _adjacency(delta)

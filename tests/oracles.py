@@ -2,6 +2,8 @@
 
 import itertools
 
+from hypermorse import exact, hypercore
+from hypermorse.chains import SubChainComplex, boundary_matrix, edge_module_matrix
 from hypermorse.exact import ColumnSolver, ExactMatrix
 
 
@@ -94,3 +96,73 @@ def preimage_members_in_box(map_matrix, target_basis, coeff, radius):
 
 def random_int_matrix(rng, rows, cols, lo=-4, hi=4):
     return ExactMatrix(rows, cols, [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)])
+
+
+def dense_matmul(a, b, coeff):
+    """Textbook triple-loop product; every entry is coeff.normalize of its sum."""
+    out = []
+    for i in range(a.rows):
+        row = []
+        for j in range(b.cols):
+            s = 0
+            for k in range(a.cols):
+                x = a.data[i][k]
+                if x:
+                    y = b.data[k][j]
+                    if y:
+                        s += x * y
+            row.append(coeff.normalize(s))
+        out.append(row)
+    return ExactMatrix(a.rows, b.cols, out)
+
+
+def inf_complex_oracle(h, coeff, delta=None):
+    """The infimum complex by general module algebra: the degree-n hyperedge
+    module intersected with the boundary preimage of the degree-(n-1) one."""
+    if delta is None:
+        delta = hypercore.delta_closure(h)
+    basis = []
+    for n in range(delta.max_dimension() + 1):
+        edges_n = edge_module_matrix(h, delta, n)
+        if n == 0:
+            basis.append(exact.canonical_basis(edges_n, coeff))
+            continue
+        bnd = boundary_matrix(delta, n, coeff)
+        pre = exact.preimage_module(bnd, edge_module_matrix(h, delta, n - 1), coeff)
+        basis.append(exact.module_intersection(edges_n, pre, coeff))
+    return SubChainComplex(delta, coeff, basis)
+
+
+def sup_complex_oracle(h, coeff, delta=None):
+    """The supremum complex by general module algebra: the degree-n hyperedge
+    module plus the boundaries of the degree-(n+1) one."""
+    if delta is None:
+        delta = hypercore.delta_closure(h)
+    top = delta.max_dimension()
+    basis = []
+    for n in range(top + 1):
+        edges_n = edge_module_matrix(h, delta, n)
+        if n == top:
+            basis.append(exact.canonical_basis(edges_n, coeff))
+            continue
+        bnd = boundary_matrix(delta, n + 1, coeff)
+        image = dense_matmul(bnd, edge_module_matrix(h, delta, n + 1), coeff)
+        basis.append(exact.module_sum(edges_n, image, coeff))
+    return SubChainComplex(delta, coeff, basis)
+
+
+def greedy_homology_representatives(scc, n):
+    """Kernel columns that raise the rank of the image, one rank call each."""
+    coeff = scc.coeff
+    ker = exact.kernel_basis(scc.restricted[n], coeff)
+    if n < scc.top:
+        current = exact.canonical_basis(scc.restricted[n + 1], coeff)
+    else:
+        current = ExactMatrix.zeros(scc.rank_at(n), 0)
+    reps = []
+    for j in range(ker.cols):
+        trial = current.hstack(ExactMatrix.from_columns([ker.column(j)], ker.rows))
+        if exact.rank(trial, coeff) > current.cols:
+            reps.append(list(ker.column(j)))
+            current = trial
+    return reps

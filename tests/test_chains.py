@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from hypermorse import exact
 from hypermorse.chains import (
     HomologyBasis,
     boundary_matrix,
@@ -21,6 +22,7 @@ from hypermorse.exact import ExactMatrix, canonical_basis, matmul
 from hypermorse.hypercore import Hypergraph, delta_closure, lower_complex
 
 import generators
+import oracles
 
 Z7 = prime_field(7)
 
@@ -294,3 +296,52 @@ def test_preimage_of_edge_module_section6(h_section6):
     pre = preimage_module(bnd, edge_module_matrix(h_section6, delta, 1), Z)
     inside = module_intersection(edge_module_matrix(h_section6, delta, 2), pre, Z)
     assert inside.cols == 0
+
+
+# ---------------------------------------------------------------------------
+# the direct inf/sup formulas against general module algebra
+
+
+@pytest.mark.parametrize("coeff", [Z, Q, prime_field(3)], ids=["Z", "Q", "Z3"])
+def test_inf_sup_match_module_algebra_oracle(coeff):
+    rng = random.Random(101)
+    for _ in range(40):
+        h = generators.random_hypergraph(rng, 7, 16)
+        delta = delta_closure(h)
+        for build, oracle in (
+            (inf_complex, oracles.inf_complex_oracle),
+            (sup_complex, oracles.sup_complex_oracle),
+        ):
+            got = build(h, coeff, delta)
+            want = oracle(h, coeff, delta)
+            for n in range(delta.max_dimension() + 1):
+                assert got.basis[n] == want.basis[n]
+                assert got.restricted[n] == want.restricted[n]
+
+
+@pytest.mark.parametrize("coeff", [Q, prime_field(3)], ids=["Q", "Z3"])
+def test_homology_basis_is_greedy_choice(coeff):
+    rng = random.Random(102)
+    for _ in range(30):
+        h = generators.random_hypergraph(rng, 7, 16)
+        delta = delta_closure(h)
+        for scc in (inf_complex(h, coeff, delta), sup_complex(h, coeff, delta)):
+            hb = HomologyBasis(scc)
+            for n in range(scc.top + 1):
+                assert hb.representatives(n) == oracles.greedy_homology_representatives(scc, n)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("general module algebra or rank is off the hot path")
+
+
+def test_hot_paths_avoid_module_algebra_and_rank(monkeypatch, h_section6, hp_224):
+    for name in ("preimage_module", "module_intersection", "module_sum"):
+        monkeypatch.setattr(exact, name, _refuse)
+    for coeff in (Z, Q, Z7):
+        assert embedded_homology(h_section6, coeff).betti == (2, 1, 0)
+        assert embedded_homology(hp_224, coeff).betti == (1, 3, 0, 0)
+    monkeypatch.setattr(exact, "rank", _refuse)
+    for coeff in (Q, Z7):
+        hb = HomologyBasis(inf_complex(h_section6, coeff))
+        assert [hb.betti(n) for n in range(3)] == [2, 1, 0]

@@ -230,6 +230,42 @@ def test_morse_extend_grid_override(tmp_path, capsys):
     assert _result(out)["verdict"] == "none"
 
 
+def test_morse_extend_grid_is_a_lower_bound(tmp_path, capsys):
+    # two unknown vertices must both lie below the edge value: a grid without
+    # fresh levels cannot express that, so --grid 0 is raised to the number
+    # of unknowns instead of reporting a false "none"
+    doc = {"vertices": ["a", "b"], "hyperedges": [["a", "b"]], "morse": {"a,b": 0}}
+    path = _write(tmp_path, "edge.json", doc)
+    code, out, err = _run(capsys, ["morse", path, "extend", "--grid", "0"])
+    assert code == 0
+    result = _result(out)
+    assert result["verdict"] == "extended"
+    assert result["extension"] == {"a": "-2", "a,b": "0", "b": "-2"}
+
+
+def test_morse_extend_negative_grid_rejected(tmp_path, capsys):
+    path = _write(tmp_path, "h6.json", SECTION6_DOC)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["morse", path, "extend", "--grid", "-1"])
+    assert exc.value.code == cli.EXIT_PARSE
+    assert "--grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", ["InternalConsistencyError", "MalformedSubcomplexError"])
+def test_internal_error_exit_code(tmp_path, capsys, monkeypatch, error):
+    from hypermorse import chains, errors
+
+    def broken(*args, **kwargs):
+        raise getattr(errors, error)("checks disagree")
+
+    monkeypatch.setattr(chains, "embedded_homology", broken)
+    path = _write(tmp_path, "h6.json", SECTION6_DOC)
+    code, out, err = _run(capsys, ["homology", path])
+    assert code == cli.EXIT_INTERNAL == 6
+    assert out == ""
+    assert err == "internal error: checks disagree\n"
+
+
 def test_morse_extend_size_cap(tmp_path, capsys):
     doc = {
         "vertices": ["a", "b", "c", "d", "e"],

@@ -38,6 +38,45 @@ def test_coeffspec_validation():
         Z.normalize(Fraction(1, 2))
 
 
+def test_normalize_types():
+    # exact ints take the fast path; other inputs keep their old coercions
+    for coeff, x, want in (
+        (Z, -3, -3),
+        (Z, True, 1),
+        (Z, Fraction(4, 2), 2),
+        (Z5, 7, 2),
+        (Z5, True, 1),
+        (Z5, Fraction(1, 2), 3),
+    ):
+        got = coeff.normalize(x)
+        assert got == want and type(got) is int
+    assert type(Q.normalize(2)) is Fraction
+
+
+@pytest.mark.parametrize("coeff", [Z, Q, Z5], ids=["Z", "Q", "Z5"])
+def test_matmul_matches_dense_oracle(coeff):
+    rng = random.Random(17)
+
+    def sparse(rows, cols):
+        def entry():
+            if rng.random() < 0.7:
+                return 0
+            x = rng.randint(-3, 3)
+            return Fraction(x, rng.randint(1, 3)) if coeff is Q else x
+
+        return ExactMatrix(rows, cols, [[entry() for _ in range(cols)] for _ in range(rows)])
+
+    for _ in range(40):
+        r, k, c = rng.randint(0, 6), rng.randint(0, 6), rng.randint(0, 6)
+        a, b = sparse(r, k), sparse(k, c)
+        got = matmul(a, b, coeff)
+        want = oracles.dense_matmul(a, b, coeff)
+        assert got == want
+        assert [[type(x) for x in row] for row in got.data] == [
+            [type(x) for x in row] for row in want.data
+        ]
+
+
 def test_hermite_identity():
     eye = ExactMatrix.identity(3)
     assert hermite_basis(eye) == eye

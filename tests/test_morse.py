@@ -327,6 +327,15 @@ def test_search_extension_obstructed_and_unobstructed(f_311, f_315):
     assert search_extension(f_315) is None
 
 
+def test_search_extension_grid_is_a_lower_bound():
+    h = Hypergraph.from_labels(["a", "b"], [["a", "b"]])
+    f = MorseFunction(h, {(0, 1): Fraction(0)})
+    for grid in (0, 1, None):
+        ext = search_extension(f, grid_levels=grid)
+        assert ext is not None
+        assert ext.values[(0,)] < 0 and ext.values[(1,)] < 0
+
+
 def test_search_extension_simplicial_returns_same_values():
     k = delta_closure(Hypergraph.from_labels(["a", "b", "c"], [["a", "b", "c"]]))
     f = dim_function(k)
