@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import hashlib
 import json
 import re
@@ -60,6 +61,13 @@ def _format_rational(x):
 
 def parse_hypergraph_document(doc, where="document"):
     """Validate a HypergraphDocument and return (hypergraph, morse values or None)."""
+    return _parse_document(doc, where)[:2]
+
+
+def _parse_document(doc, where="document"):
+    """parse_hypergraph_document plus the associated complex it builds to
+    check the morse keys: (hypergraph, values, complex), or (h, None, None)
+    without a morse block."""
     if not isinstance(doc, dict):
         raise InvalidDocumentError("%s: expected a JSON object" % where)
     unknown = set(doc) - {"vertices", "hyperedges", "morse"}
@@ -75,7 +83,7 @@ def parse_hypergraph_document(doc, where="document"):
         h = Hypergraph.from_labels(vertices, edges)
     except ValueError as exc:
         raise InvalidDocumentError("%s: %s" % (where, exc)) from exc
-    values = None
+    values = delta = None
     if "morse" in doc:
         block = doc["morse"]
         if not isinstance(block, dict):
@@ -104,7 +112,7 @@ def parse_hypergraph_document(doc, where="document"):
                 raise InvalidDocumentError(
                     "%s: morse block misses hyperedge %r" % (where, h.edge_key(e))
                 )
-    return h, values
+    return h, values, delta
 
 
 def _load_json(path):
@@ -257,8 +265,7 @@ def _cmd_homology(args, out):
     return _report("homology", raw, coeff, result, _notes_for(h), args.timestamp)
 
 
-def _morse_host(args, h, values):
-    delta = hypercore.delta_closure(h)
+def _morse_host(args, h, values, delta):
     if args.on == "assoc":
         missing = [e for e in delta.edges if e not in values]
         if missing:
@@ -286,10 +293,10 @@ def _violations_to_json(h, violations):
 
 def _cmd_morse(args, out):
     doc, raw = _load_json(args.file)
-    h, values = parse_hypergraph_document(doc)
+    h, values, delta = _parse_document(doc)
     if values is None:
         raise InvalidDocumentError("this command needs a 'morse' block")
-    f = _morse_host(args, h, values)
+    f = _morse_host(args, h, values, delta)
     host = f.host
     result = {"on": args.on}
     if args.sub == "check":
@@ -417,10 +424,9 @@ def _require_valid(phi):
 
 def _cmd_discrepancy(args, out):
     doc, raw = _load_json(args.file)
-    h, values = parse_hypergraph_document(doc)
+    h, values, delta = _parse_document(doc)
     if values is None:
         raise InvalidDocumentError("this command needs a 'morse' block")
-    delta = hypercore.delta_closure(h)
     missing = [e for e in delta.edges if e not in values]
     if missing:
         raise InvalidDocumentError(
@@ -521,9 +527,15 @@ _DISPATCH = {
 }
 
 
+@functools.cache
+def _parser():
+    # argparse keeps no state between parse_args calls, so one parser serves
+    # every call of main in the process
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     out = sys.stdout
     try:
         outcome = _DISPATCH[args.command](args, out)

@@ -121,10 +121,14 @@ class Hypergraph:
                 stacklevel=2,
             )
         canonical.sort(key=edge_sort_key)
-        self.edges = tuple(canonical)
-        self._edge_set = frozenset(canonical)
+        self._set_edges(canonical)
+
+    def _set_edges(self, edges):
+        """Store edges that are valid, distinct and in edge_sort_key order."""
+        self.edges = tuple(edges)
+        self._edge_set = frozenset(self.edges)
         by_dim = {}
-        for t in canonical:
+        for t in self.edges:
             by_dim.setdefault(len(t) - 1, []).append(t)
         self._by_dim = {d: tuple(es) for d, es in by_dim.items()}
 
@@ -192,15 +196,23 @@ class SimplicialComplex(Hypergraph):
 
     __slots__ = ()
 
-    def __init__(self, vertex_set, edges, _closed=False):
+    def __init__(self, vertex_set, edges):
         super().__init__(vertex_set, edges)
-        if not _closed:
-            for e in self.edges:
-                for tau in nonempty_subsets(e):
-                    if tau not in self._edge_set:
-                        raise ValueError(
-                            "not downward closed: %r misses face %r" % (e, tau)
-                        )
+        for e in self.edges:
+            for tau in nonempty_subsets(e):
+                if tau not in self._edge_set:
+                    raise ValueError(
+                        "not downward closed: %r misses face %r" % (e, tau)
+                    )
+
+    @classmethod
+    def _trusted(cls, vertex_set, edges):
+        """A complex from edges that are already valid, distinct, downward
+        closed and in edge_sort_key order: no check is repeated."""
+        self = cls.__new__(cls)
+        self.vertex_set = vertex_set
+        self._set_edges(edges)
+        return self
 
 
 def dimension(edge):
@@ -211,23 +223,25 @@ def dimension(edge):
 def power_complex(vertex_set, edge):
     """The simplicial complex of all non-empty subsets of a single edge."""
     edge = _validate_edge(edge, len(vertex_set))
-    return SimplicialComplex(vertex_set, nonempty_subsets(edge), _closed=True)
+    return SimplicialComplex(vertex_set, nonempty_subsets(edge))
 
 
 def delta_closure(h):
     """Smallest simplicial complex containing h: the union of the subset
-    complexes of its hyperedges."""
+    complexes of its hyperedges.  A SimplicialComplex is its own closure."""
+    if isinstance(h, SimplicialComplex):
+        return h
     simplices = set()
     for e in h.edges:
         simplices.update(nonempty_subsets(e))
-    return SimplicialComplex(h.vertex_set, sorted(simplices, key=edge_sort_key), _closed=True)
+    return SimplicialComplex._trusted(h.vertex_set, sorted(simplices, key=edge_sort_key))
 
 
 def lower_complex(h):
     """Largest simplicial complex contained in h: the edges all of whose
     non-empty subsets are edges of h."""
     keep = [e for e in h.edges if all(t in h._edge_set for t in nonempty_subsets(e))]
-    return SimplicialComplex(h.vertex_set, keep, _closed=True)
+    return SimplicialComplex._trusted(h.vertex_set, keep)
 
 
 def is_simplicial(h):

@@ -11,6 +11,7 @@ against the induced degree-raising linear map.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,18 +27,22 @@ from .hypercore import edge_sort_key
 
 
 def _adjacency(h):
-    """faces[e] and cofaces[e]: codimension-1 neighbours inside h."""
+    """faces[e] and cofaces[e]: codimension-1 neighbours inside h, in no
+    particular order (the extension search only counts them)."""
     faces = {e: [] for e in h.edges}
     cofaces = {e: [] for e in h.edges}
+    edge_set = h._edge_set
     for e in h.edges:
         for f in hypercore.codim1_faces(e):
-            if h.contains_edge(f):
+            if f in edge_set:
                 faces[e].append(f)
                 cofaces[f].append(e)
-    for e in h.edges:
-        faces[e].sort(key=edge_sort_key)
-        cofaces[e].sort(key=edge_sort_key)
     return faces, cofaces
+
+
+def _as_fraction(x):
+    # a Fraction is immutable and exact already; only other numbers convert
+    return x if type(x) is Fraction else Fraction(x)
 
 
 class MorseFunction:
@@ -53,7 +58,7 @@ class MorseFunction:
         if extra:
             raise ValueError("value for unknown hyperedge(s) %s" % (sorted(extra),))
         self.host = host
-        self.values = {e: Fraction(values[e]) for e in host.edges}
+        self.values = {e: _as_fraction(values[e]) for e in host.edges}
 
     def __call__(self, edge):
         return self.values[edge]
@@ -76,29 +81,54 @@ class MorseViolation:
     witnesses: tuple
 
 
+def _scan(f):
+    """One pass over the host: (low, high, violations).
+
+    low[e] holds the cofaces of e at values not above it and high[e] the faces
+    at values not below it, both in edge_sort_key order.  A face g of b with
+    f(b) <= f(g) is at once a low coface pair for g and a high face pair for b.
+    Values are compared as exact integers in the same order: each value times
+    the least common multiple of all denominators.
+    """
+    h = f.host
+    scale = math.lcm(*(v.denominator for v in f.values.values()))
+    key = {e: v.numerator * (scale // v.denominator) for e, v in f.values.items()}
+    edge_set = h._edge_set
+    low = {e: [] for e in h.edges}
+    high = {e: [] for e in h.edges}
+    for b in h.edges:
+        kb = key[b]
+        # dropping a later vertex gives a smaller face, so reversed is sorted;
+        # low[g] grows while h.edges is walked in sorted order
+        for g in reversed(hypercore.codim1_faces(b)):
+            if g in edge_set and key[g] >= kb:
+                low[g].append(b)
+                high[b].append(g)
+    violations = []
+    for alpha in h.edges:
+        if len(low[alpha]) > 1:
+            violations.append(MorseViolation(alpha, "low_cofaces", tuple(low[alpha])))
+        if len(high[alpha]) > 1:
+            violations.append(MorseViolation(alpha, "high_faces", tuple(high[alpha])))
+    return low, high, tuple(violations)
+
+
 def is_morse(f):
     """Check the discrete Morse conditions; returns (ok, violations).
 
     A violation records an edge with two or more cofaces at values not above
     it, or two or more faces at values not below it.
     """
-    faces, cofaces = _adjacency(f.host)
-    violations = []
-    for alpha in f.host.edges:
-        fa = f.values[alpha]
-        low = tuple(b for b in cofaces[alpha] if f.values[b] <= fa)
-        if len(low) > 1:
-            violations.append(MorseViolation(alpha, "low_cofaces", low))
-        high = tuple(g for g in faces[alpha] if f.values[g] >= fa)
-        if len(high) > 1:
-            violations.append(MorseViolation(alpha, "high_faces", high))
-    return (not violations, tuple(violations))
+    _, _, violations = _scan(f)
+    return (not violations, violations)
 
 
 def _require_morse(f):
-    ok, violations = is_morse(f)
-    if not ok:
+    """The (low, high) tables of _scan; raises NotMorseError on a violation."""
+    low, high, violations = _scan(f)
+    if violations:
         raise NotMorseError(violations)
+    return low, high
 
 
 @dataclass(frozen=True)
@@ -110,16 +140,12 @@ class CriticalReport:
 def critical_set(f):
     """Critical hyperedges: no coface at a value not above, no face at a value
     not below.  Witnesses explain every non-critical edge."""
-    _require_morse(f)
-    faces, cofaces = _adjacency(f.host)
+    low, high = _require_morse(f)
     critical = []
     witnesses = {}
     for alpha in f.host.edges:
-        fa = f.values[alpha]
-        low = tuple(b for b in cofaces[alpha] if f.values[b] <= fa)
-        high = tuple(g for g in faces[alpha] if f.values[g] >= fa)
-        if low or high:
-            witnesses[alpha] = {"low_cofaces": low, "high_faces": high}
+        if low[alpha] or high[alpha]:
+            witnesses[alpha] = {"low_cofaces": tuple(low[alpha]), "high_faces": tuple(high[alpha])}
         else:
             critical.append(alpha)
     return CriticalReport(tuple(critical), witnesses)
@@ -172,15 +198,8 @@ def incidence_nonzero(beta, alpha):
 def gradient(f):
     """The gradient field of a Morse function: all pairs alpha < beta with
     the coface's value not above the face's value."""
-    _require_morse(f)
-    _, cofaces = _adjacency(f.host)
-    pairs = []
-    for alpha in f.host.edges:
-        fa = f.values[alpha]
-        for beta in cofaces[alpha]:
-            if f.values[beta] <= fa:
-                pairs.append((alpha, beta))
-    return GradientField(f.host, pairs)
+    low, _ = _require_morse(f)
+    return GradientField(f.host, [(alpha, beta) for alpha in f.host.edges for beta in low[alpha]])
 
 
 @dataclass(frozen=True)
@@ -324,16 +343,8 @@ def extension_obstruction(f):
     """Edges carrying both a low coface and a high face inside the host; a
     non-empty set proves the function extends to no Morse function on the
     associated complex."""
-    _require_morse(f)
-    faces, cofaces = _adjacency(f.host)
-    out = []
-    for alpha in f.host.edges:
-        fa = f.values[alpha]
-        has_low = any(f.values[b] <= fa for b in cofaces[alpha])
-        has_high = any(f.values[g] >= fa for g in faces[alpha])
-        if has_low and has_high:
-            out.append(alpha)
-    return tuple(out)
+    low, high = _require_morse(f)
+    return tuple(alpha for alpha in f.host.edges if low[alpha] and high[alpha])
 
 
 def dim_function(h):
@@ -341,37 +352,52 @@ def dim_function(h):
     return MorseFunction(h, {e: Fraction(len(e) - 1) for e in h.edges})
 
 
-def _candidate_levels(values, per_gap):
-    """Existing values plus per_gap fresh levels inside every gap and beyond
-    both ends; complete for order-based conditions."""
-    distinct = sorted(set(values))
-    levels = list(distinct)
-    if not distinct:
-        return [Fraction(i) for i in range(per_gap)]
-    lo, hi = distinct[0], distinct[-1]
-    for i in range(1, per_gap + 1):
-        levels.append(lo - i)
-        levels.append(hi + i)
-    for a, b in zip(distinct, distinct[1:]):
-        step = Fraction(b - a, per_gap + 1)
-        for i in range(1, per_gap + 1):
-            levels.append(a + i * step)
-    return sorted(set(levels))
+def _candidate_levels(distinct, per_gap):
+    """Integer slots of the candidate levels for the sorted distinct values.
+
+    Value j sits at slot per_gap + j*(per_gap+1); the slots between and
+    beyond the values are per_gap fresh levels inside every gap and beyond
+    both ends, which is complete for order-based conditions.  Returns the
+    slot of each value and the number of slots.
+    """
+    slots = [per_gap + j * (per_gap + 1) for j in range(len(distinct))]
+    return slots, len(distinct) + (len(distinct) + 1) * per_gap
+
+
+def _level(distinct, per_gap, slot):
+    """The rational at a slot of _candidate_levels: lo - i below the values,
+    hi + i above them and a + i*(b-a)/(per_gap+1) in the gap from a to b."""
+    j, i = divmod(slot - per_gap, per_gap + 1)
+    if j < 0:
+        return distinct[0] - (per_gap - slot)
+    if i == 0:
+        return distinct[j]
+    if j == len(distinct) - 1:
+        return distinct[j] + i
+    a, b = distinct[j], distinct[j + 1]
+    return a + i * Fraction(b - a, per_gap + 1)
 
 
 def search_extension(f, grid_levels=None, max_unknowns=6):
     """Exhaustive search for a Morse extension to the associated complex.
 
-    Unknown cells get values from a grid of candidate levels; because the
-    Morse conditions only compare values, the grid realizes every weak order
-    of the unknowns against the fixed values, so the search is complete.
+    Unknown cells take candidate levels: the existing values plus per_gap
+    fresh levels inside every gap between them and beyond both ends.
+    Because the Morse conditions only compare values, these levels realize
+    every weak order of the unknowns against the fixed values, so the search
+    is complete.  It runs over integer slots that stand for the levels in
+    increasing order, and turns the chosen slots into rationals at the end.
     grid_levels is a lower bound on the fresh levels per value gap; it never
-    drops below the number of unknowns, which completeness needs.
+    drops below the number of unknowns, which completeness needs.  When some
+    hyperedge has both a low coface and a high face (a non-empty
+    extension_obstruction), the answer is None at once: no Morse function on
+    a simplicial complex has such a cell.
     Returns the extension with host the associated complex, or None.
     """
-    _require_morse(f)
+    low_cofaces, high_faces = _require_morse(f)
     delta = hypercore.delta_closure(f.host)
-    unknowns = sorted((e for e in delta.edges if not f.host.contains_edge(e)), key=edge_sort_key)
+    in_host = f.host._edge_set
+    unknowns = [e for e in delta.edges if e not in in_host]
     if not unknowns:
         return MorseFunction(delta, dict(f.values))
     k = len(unknowns)
@@ -379,11 +405,15 @@ def search_extension(f, grid_levels=None, max_unknowns=6):
         raise SizeCapExceeded(
             "%d unknown cells exceed the configured cap of %d" % (k, max_unknowns)
         )
+    if any(low_cofaces[e] and high_faces[e] for e in f.host.edges):
+        return None
     per_gap = k if grid_levels is None else max(grid_levels, k)
-    levels = _candidate_levels(f.values.values(), per_gap)
+    distinct = sorted(set(f.values.values()))
+    slots, nslots = _candidate_levels(distinct, per_gap)
+    slot_of = dict(zip(distinct, slots))
 
     faces_d, cofaces_d = _adjacency(delta)
-    values = dict(f.values)
+    values = {e: slot_of[v] for e, v in f.values.items()}
 
     def violates(cell):
         # Morse conditions on the sub-hypergraph of currently valued cells,
@@ -423,8 +453,8 @@ def search_extension(f, grid_levels=None, max_unknowns=6):
         if i == len(unknowns):
             return True
         cell = unknowns[i]
-        for level in levels:
-            values[cell] = level
+        for slot in range(nslots):
+            values[cell] = slot
             if not violates(cell) and dfs(i + 1):
                 return True
             del values[cell]
@@ -432,7 +462,10 @@ def search_extension(f, grid_levels=None, max_unknowns=6):
 
     if not dfs(0):
         return None
-    extension = MorseFunction(delta, values)
+    extension_values = dict(f.values)
+    for cell in unknowns:
+        extension_values[cell] = _level(distinct, per_gap, values[cell])
+    extension = MorseFunction(delta, extension_values)
     ok, violations = is_morse(extension)
     if not ok:
         raise InternalConsistencyError("extension search produced a non-Morse function")

@@ -1,10 +1,14 @@
 """Brute-force oracles, independent of the implementation paths they check."""
 
 import itertools
+from fractions import Fraction
 
 from hypermorse import exact, hypercore
 from hypermorse.chains import SubChainComplex, boundary_matrix, edge_module_matrix
+from hypermorse.errors import NotMorseError
 from hypermorse.exact import ColumnSolver, ExactMatrix
+from hypermorse.hypercore import edge_sort_key
+from hypermorse.morse import CriticalReport, GradientField, MorseViolation
 
 
 def powerset_nonempty(indices):
@@ -166,3 +170,162 @@ def greedy_homology_representatives(scc, n):
             reps.append(list(ker.column(j)))
             current = trial
     return reps
+
+
+# ---------------------------------------------------------------------------
+# the Morse layer on Fraction comparisons and a sorted adjacency
+
+
+def morse_adjacency_oracle(h):
+    """faces[e] and cofaces[e] inside h, each sorted by edge_sort_key."""
+    faces = {e: [] for e in h.edges}
+    cofaces = {e: [] for e in h.edges}
+    for e in h.edges:
+        for f in hypercore.codim1_faces(e):
+            if h.contains_edge(f):
+                faces[e].append(f)
+                cofaces[f].append(e)
+    for e in h.edges:
+        faces[e].sort(key=edge_sort_key)
+        cofaces[e].sort(key=edge_sort_key)
+    return faces, cofaces
+
+
+def is_morse_oracle(f):
+    faces, cofaces = morse_adjacency_oracle(f.host)
+    violations = []
+    for alpha in f.host.edges:
+        fa = f.values[alpha]
+        low = tuple(b for b in cofaces[alpha] if f.values[b] <= fa)
+        if len(low) > 1:
+            violations.append(MorseViolation(alpha, "low_cofaces", low))
+        high = tuple(g for g in faces[alpha] if f.values[g] >= fa)
+        if len(high) > 1:
+            violations.append(MorseViolation(alpha, "high_faces", high))
+    return (not violations, tuple(violations))
+
+
+def _require_morse_oracle(f):
+    ok, violations = is_morse_oracle(f)
+    if not ok:
+        raise NotMorseError(violations)
+
+
+def critical_set_oracle(f):
+    _require_morse_oracle(f)
+    faces, cofaces = morse_adjacency_oracle(f.host)
+    critical = []
+    witnesses = {}
+    for alpha in f.host.edges:
+        fa = f.values[alpha]
+        low = tuple(b for b in cofaces[alpha] if f.values[b] <= fa)
+        high = tuple(g for g in faces[alpha] if f.values[g] >= fa)
+        if low or high:
+            witnesses[alpha] = {"low_cofaces": low, "high_faces": high}
+        else:
+            critical.append(alpha)
+    return CriticalReport(tuple(critical), witnesses)
+
+
+def gradient_oracle(f):
+    _require_morse_oracle(f)
+    _, cofaces = morse_adjacency_oracle(f.host)
+    pairs = []
+    for alpha in f.host.edges:
+        fa = f.values[alpha]
+        for beta in cofaces[alpha]:
+            if f.values[beta] <= fa:
+                pairs.append((alpha, beta))
+    return GradientField(f.host, pairs)
+
+
+def extension_obstruction_oracle(f):
+    _require_morse_oracle(f)
+    faces, cofaces = morse_adjacency_oracle(f.host)
+    out = []
+    for alpha in f.host.edges:
+        fa = f.values[alpha]
+        has_low = any(f.values[b] <= fa for b in cofaces[alpha])
+        has_high = any(f.values[g] >= fa for g in faces[alpha])
+        if has_low and has_high:
+            out.append(alpha)
+    return tuple(out)
+
+
+def candidate_levels_oracle(values, per_gap):
+    """Existing values plus per_gap fresh levels inside every gap and beyond
+    both ends, as a sorted list of rationals."""
+    distinct = sorted(set(values))
+    levels = list(distinct)
+    if not distinct:
+        return [Fraction(i) for i in range(per_gap)]
+    lo, hi = distinct[0], distinct[-1]
+    for i in range(1, per_gap + 1):
+        levels.append(lo - i)
+        levels.append(hi + i)
+    for a, b in zip(distinct, distinct[1:]):
+        step = Fraction(b - a, per_gap + 1)
+        for i in range(1, per_gap + 1):
+            levels.append(a + i * step)
+    return sorted(set(levels))
+
+
+def search_extension_oracle(f, grid_levels=None):
+    """Depth-first search over the rational candidate levels, unknown cells
+    in edge_sort_key order and levels in increasing order; returns the values
+    of the first Morse extension to the associated complex, or None."""
+    _require_morse_oracle(f)
+    delta = hypercore.delta_closure(f.host)
+    unknowns = sorted((e for e in delta.edges if not f.host.contains_edge(e)), key=edge_sort_key)
+    if not unknowns:
+        return dict(f.values)
+    k = len(unknowns)
+    per_gap = k if grid_levels is None else max(grid_levels, k)
+    levels = candidate_levels_oracle(f.values.values(), per_gap)
+    faces_d, cofaces_d = morse_adjacency_oracle(delta)
+    values = dict(f.values)
+
+    def violates(cell):
+        fc = values[cell]
+        low = 0
+        for b in cofaces_d[cell]:
+            if b in values and values[b] <= fc:
+                low += 1
+                if low > 1:
+                    return True
+        high = 0
+        for g in faces_d[cell]:
+            if g in values and values[g] >= fc:
+                high += 1
+                if high > 1:
+                    return True
+        for g in faces_d[cell]:
+            if g in values and fc <= values[g]:
+                cnt = 0
+                for b in cofaces_d[g]:
+                    if b in values and values[b] <= values[g]:
+                        cnt += 1
+                        if cnt > 1:
+                            return True
+        for b in cofaces_d[cell]:
+            if b in values and fc >= values[b]:
+                cnt = 0
+                for g in faces_d[b]:
+                    if g in values and values[g] >= values[b]:
+                        cnt += 1
+                        if cnt > 1:
+                            return True
+        return False
+
+    def dfs(i):
+        if i == len(unknowns):
+            return True
+        cell = unknowns[i]
+        for level in levels:
+            values[cell] = level
+            if not violates(cell) and dfs(i + 1):
+                return True
+            del values[cell]
+        return False
+
+    return values if dfs(0) else None

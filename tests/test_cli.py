@@ -400,3 +400,32 @@ def test_version_flag(capsys):
     assert exc.value.code == 0
     out = capsys.readouterr().out
     assert "hypermorse" in out
+
+
+def test_main_reuses_its_parser_across_calls(tmp_path, capsys):
+    h6 = _write(tmp_path, "h6.json", SECTION6_DOC)
+    calls = [
+        ["--version"],
+        ["morse", h6, "nonsense"],
+        ["morse", h6, "critical", "--on", "assoc"],
+        ["homology", h6, "--coeff", "zp:3"],
+    ]
+
+    def run(argv):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    first = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        first.append(run(argv))
+    assert first[0][0] == ("exit", 0) and first[1][0] == ("exit", 2)
+    assert first[2][0] == 0 and first[3][0] == 0
+    for _ in range(2):
+        assert [run(argv) for argv in calls] == first
+    h, values = cli.parse_hypergraph_document(SECTION6_DOC)
+    assert len(h.edges) == 8 and values[(0,)] == 1

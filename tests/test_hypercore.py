@@ -166,3 +166,20 @@ def test_vertex_order_is_declaration_order():
     assert h.edges == ((0, 1),)
     assert h.edge_labels((0, 1)) == ("z", "a")
     assert h.edge_key((0, 1)) == "z,a"
+
+
+def test_closure_fast_path_matches_validated_complex():
+    k = delta_closure(Hypergraph.from_labels(["a", "b", "c"], [["a", "b", "c"]]))
+    assert delta_closure(k) is k
+    rng = random.Random(17)
+    for _ in range(120):
+        h = generators.random_hypergraph(rng, max_vertices=6, max_edges=12)
+        for fast in (delta_closure(h), lower_complex(h)):
+            assert isinstance(fast, SimplicialComplex)
+            checked = SimplicialComplex(h.vertex_set, fast.edges)
+            assert fast == checked and fast.edges == checked.edges
+            for n in range(-1, 7):
+                assert fast.edges_of_dim(n) == checked.edges_of_dim(n)
+            assert fast.max_dimension() == checked.max_dimension()
+            for e in oracles.powerset_nonempty(tuple(range(len(h.vertex_set)))):
+                assert fast.contains_edge(e) == checked.contains_edge(e)

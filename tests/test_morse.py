@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from hypermorse import morse
 from hypermorse.coeffs import Z
 from hypermorse.errors import NotMorseError, SizeCapExceeded
 from hypermorse.exact import ExactMatrix, matmul
@@ -383,6 +384,95 @@ def test_search_extension_completeness_random():
             for e in h.edges:
                 assert ext.values[e] == f.values[e]
     assert found > 5
+
+
+def test_search_extension_none_at_once_on_an_obstruction(f_311, f_315, monkeypatch):
+    class LevelSearchRan(Exception):
+        pass
+
+    def no_levels(*args):
+        raise LevelSearchRan
+
+    monkeypatch.setattr(morse, "_candidate_levels", no_levels)
+    assert extension_obstruction(f_311) != ()
+    assert search_extension(f_311) is None
+    # the size cap still comes first
+    with pytest.raises(SizeCapExceeded):
+        search_extension(f_311, max_unknowns=0)
+    # an unobstructed function still needs the search
+    assert extension_obstruction(f_315) == ()
+    with pytest.raises(LevelSearchRan):
+        search_extension(f_315)
+
+
+# ---------------------------------------------------------------------------
+# the integer-key Morse layer against the Fraction-comparing oracles
+
+DENOMINATORS = (1, 2, 3, 7)
+
+
+def _fractional(rng, f):
+    """f with its distinct values sent to rationals of denominators 1, 2, 3
+    and 7 by a random increasing map, which keeps every comparison and tie."""
+    new = {}
+    level = Fraction(rng.randint(-5, 5), rng.choice(DENOMINATORS))
+    for v in sorted(set(f.values.values())):
+        new[v] = level
+        level += Fraction(rng.randint(1, 4), rng.choice(DENOMINATORS))
+    return MorseFunction(f.host, {e: new[v] for e, v in f.values.items()})
+
+
+def _oracle_draws(seed, count, max_vertices, max_edges):
+    """Morse functions with fractional values and ties, and arbitrary value
+    tables (mostly not Morse) on the same seeded hypergraphs."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        h = generators.random_hypergraph(rng, max_vertices, max_edges)
+        yield _fractional(rng, generators.random_morse_function(rng, h))
+        yield MorseFunction(
+            h, {e: Fraction(rng.randint(-3, 3), rng.choice(DENOMINATORS)) for e in h.edges}
+        )
+
+
+def test_morse_layer_matches_fraction_oracles():
+    morse_count = rejected = 0
+    for f in _oracle_draws(71, 150, 7, 16):
+        ok, violations = is_morse(f)
+        assert (ok, violations) == oracles.is_morse_oracle(f)
+        if not ok:
+            rejected += 1
+            for analysis in (critical_set, gradient, extension_obstruction):
+                with pytest.raises(NotMorseError):
+                    analysis(f)
+            continue
+        morse_count += 1
+        assert critical_set(f) == oracles.critical_set_oracle(f)
+        assert gradient(f) == oracles.gradient_oracle(f)
+        assert extension_obstruction(f) == oracles.extension_obstruction_oracle(f)
+    assert morse_count > 150 and rejected > 20
+
+
+def test_search_extension_matches_grid_oracle():
+    verdicts = {"extended": 0, "obstructed": 0, "searched": 0}
+    for f in _oracle_draws(73, 300, 4, 10):
+        if not is_morse(f)[0]:
+            continue
+        unknowns = len(delta_closure(f.host).edges) - len(f.host.edges)
+        if not 0 < unknowns <= 3:
+            continue
+        for grid in (None, 0, 1, 3):
+            expected = oracles.search_extension_oracle(f, grid_levels=grid)
+            ext = search_extension(f, grid_levels=grid)
+            if expected is None:
+                assert ext is None
+                verdicts["obstructed" if extension_obstruction(f) else "searched"] += 1
+            else:
+                assert ext is not None
+                assert sorted(ext.values) == sorted(expected)
+                for e, v in expected.items():
+                    assert ext.values[e] == v
+                verdicts["extended"] += 1
+    assert verdicts["extended"] > 200 and verdicts["obstructed"] > 0 and verdicts["searched"] > 10
 
 
 # ---------------------------------------------------------------------------
