@@ -1,7 +1,7 @@
 """Kernel backend selection: compiled extension if available, else pure Python.
 
 Set HYPERMORSE_KERNEL=py or =c to force a backend; by default the compiled
-twin is used when it importable and the pure twin otherwise.
+twin is used when it is importable and the pure twin otherwise.
 """
 
 import os

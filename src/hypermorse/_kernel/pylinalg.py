@@ -1,9 +1,12 @@
 """Exact integer elimination kernels, pure Python twin.
 
-These are the hot inner loops of the package: canonical row Hermite normal
-form (with and without a recorded unimodular transform) and Smith normal form
-with transforms.  Matrices are lists of equal-length lists of Python ints;
-arbitrary precision is relied upon throughout, there is no floating point.
+These are the integer inner loops of the package: canonical row Hermite
+normal form (with and without a recorded unimodular transform) and Smith
+normal form with transforms.  The Smith form serves exact.snf and, for
+homology, only the block that exact.snf_diagonal leaves after cancelling
+unit pivots sparsely.  Matrices are lists of equal-length lists of Python
+ints; arbitrary precision is relied upon throughout, there is no floating
+point.
 The compiled twin in _speedups.pyx implements the same algorithms with the
 same semantics; keep the two in lockstep.
 

@@ -132,8 +132,8 @@ class SubChainComplex:
             image = exact.matmul(bnd, self.basis[n], coeff)
             solver = self._solver(n - 1)
             cols = []
-            for j in range(image.cols):
-                x = solver.solve(image.column(j))
+            for j, col in enumerate(image.transpose().data):
+                x = solver.solve(col)
                 if x is None:
                     raise MalformedSubcomplexError(
                         "boundary of degree-%d generator %d leaves the span below" % (n, j)

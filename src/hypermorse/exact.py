@@ -4,7 +4,10 @@ Matrices are immutable, entries are Python ints (Z and Z/p, stored as
 canonical residues) or Fractions (Q); no floating point anywhere.  Canonical
 bases make span-level statements testable as structural matrix equality:
 column Hermite normal form over Z, reduced column echelon form over fields.
-The integer elimination itself lives in the _kernel twins.
+The integer Hermite elimination lives in the _kernel twins.  Integer
+homology reads the Smith diagonal from snf_diagonal, which cancels unit
+pivots on a sparse copy here and hands only the block left without unit
+entries to the kernel SNF.
 """
 
 from __future__ import annotations
@@ -259,21 +262,36 @@ def kernel_basis(m, coeff):
     """Canonical basis (columns) of {x : m*x = 0} over the given ring.
 
     Over Z this is a basis of the full kernel lattice (which is saturated).
+    Over a field it is read off the free columns of the RREF of m: each free
+    column f gives x_f = 1 and x_c = -h[r][f] at the pivot column c of row r.
     """
-    rows_t = m.transpose().row_lists()
     if coeff.kind == "Z":
-        h, u = _kernel.hnf_rows_with_transform(rows_t)
+        h, u = _kernel.hnf_rows_with_transform(m.transpose().row_lists())
         rows = [u[i] for i in range(len(h)) if not any(h[i])]
         rows = _kernel.hnf_rows(rows)
     else:
-        h, u, pivots = _rref_rows_with_transform(rows_t, coeff)
-        rows = [u[i] for i in range(len(pivots), len(h))]
+        h, _, pivots = _rref_rows_with_transform(m.row_lists(), coeff, transform=False)
+        norm = coeff.normalize
+        pivot_cols = {c for _, c in pivots}
+        rows = []
+        for f in range(m.cols):
+            if f not in pivot_cols:
+                x = [norm(0)] * m.cols
+                x[f] = norm(1)
+                for r, c in pivots:
+                    x[c] = norm(-h[r][f])
+                rows.append(x)
         rows = _rref_rows(rows, coeff)
     return ExactMatrix.from_rows(rows, cols=m.cols).transpose()
 
 
 class ColumnSolver:
-    """Prefactored exact solver for basis-expression problems basis*x = vec."""
+    """Prefactored exact solver for basis-expression problems basis*x = vec.
+
+    solve keeps its residual as a dict of non-zeros and reads each echelon
+    row h[k] and transform row u[k] of the factored transpose through a list
+    of its non-zero (index, value) pairs, made the first time pivot k is used.
+    """
 
     def __init__(self, basis, coeff):
         self.basis = basis
@@ -292,48 +310,60 @@ class ColumnSolver:
         self._h = h
         self._u = u
         self._pivots = pivots
+        self._nonzeros = {}
 
     def solve(self, vec):
         """Coefficients x with basis*x = vec, or None if vec is outside the span."""
         coeff = self.coeff
         if len(vec) != self.basis.rows:
             raise ValueError("vector length mismatch")
-        res = [coeff.normalize(x) for x in vec]
-        weights = {}
-        if coeff.kind == "Z":
-            for k, p in self._pivots:
-                b = res[p]
-                if b:
-                    a = self._h[k][p]
-                    if b % a:
-                        return None
-                    q = b // a
-                    row = self._h[k]
-                    for j in range(p, len(res)):
-                        if row[j]:
-                            res[j] -= q * row[j]
-                    weights[k] = q
-        else:
-            div, submul, _ = _field_closures(coeff)
-            for k, p in self._pivots:
-                b = res[p]
-                if b:
-                    q = div(b, self._h[k][p])
-                    row = self._h[k]
-                    for j in range(p, len(res)):
-                        if row[j]:
-                            res[j] = submul(res[j], q, row[j])
-                    weights[k] = q
-        if any(res):
+        norm = coeff.normalize
+        res = {}
+        for j, x in enumerate(vec):
+            if x:
+                x = norm(x)
+                if x:
+                    res[j] = x
+        over_z = coeff.kind == "Z"
+        if not over_z:
+            div, _, _ = _field_closures(coeff)
+        p_mod = coeff.p if coeff.kind == "Zp" else 0
+        weights = []
+        for k, p in self._pivots:
+            b = res.get(p)
+            if not b:
+                continue
+            a = self._h[k][p]
+            if over_z:
+                if b % a:
+                    return None
+                q = b // a
+            else:
+                q = div(b, a)
+            nz = self._nonzeros.get(k)
+            if nz is None:
+                nz = self._nonzeros[k] = (
+                    [(j, y) for j, y in enumerate(self._h[k]) if y],
+                    [(i, y) for i, y in enumerate(self._u[k]) if y],
+                )
+            for j, y in nz[0]:
+                x = res.get(j, 0) - q * y
+                if p_mod:
+                    x %= p_mod
+                if x:
+                    res[j] = x
+                else:
+                    res.pop(j, None)
+            weights.append((q, nz[1]))
+        if res:
             return None
-        n = self.basis.cols
-        out = [0] * n
-        for k, q in weights.items():
-            urow = self._u[k]
-            for i in range(n):
-                if urow[i]:
-                    out[i] += q * urow[i]
-        return [coeff.normalize(x) for x in out]
+        out = [0] * self.basis.cols
+        for q, u_nz in weights:
+            for i, y in u_nz:
+                out[i] += q * y
+        if over_z:
+            return out  # integer sums are already canonical
+        return [norm(x) for x in out]
 
     def contains(self, vec):
         return self.solve(vec) is not None
@@ -368,14 +398,66 @@ def snf(m):
 
 
 def snf_diagonal(m):
-    """The non-zero diagonal entries of the Smith normal form."""
-    if m.rows == 0 or m.cols == 0:
-        return []
-    _, d, _ = _kernel.snf_decompose(m.row_lists())
-    out = []
-    for t in range(min(m.rows, m.cols)):
-        if d[t][t]:
-            out.append(d[t][t])
+    """The non-zero diagonal entries of the Smith normal form.
+
+    Unit entries are cancelled pair by pair on a sparse copy first: a ±1
+    pivot of lowest Markowitz cost (row nnz - 1)*(col nnz - 1), ties to the
+    lowest row and then column, clears its column by integer row operations,
+    and its row and column then split off as an invariant factor 1.  Only
+    the block left without unit entries is densified for the kernel SNF.
+    The Smith form is unique, so the result is that of the whole matrix.
+    """
+    rows = {}
+    in_col = [set() for _ in range(m.cols)]
+    for i, r in enumerate(m.data):
+        row = {j: x for j, x in enumerate(r) if x}
+        if row:
+            rows[i] = row
+            for j in row:
+                in_col[j].add(i)
+    units = 0
+    while True:
+        # rows run in increasing order, so a later row wins only on a
+        # strictly lower cost, and nothing beats cost 0 from an earlier row
+        best, p, c = -1, -1, -1
+        for i, row in rows.items():
+            if best == 0:
+                break
+            spare = len(row) - 1
+            for j, x in row.items():
+                if x == 1 or x == -1:
+                    key = spare * (len(in_col[j]) - 1)
+                    if best < 0 or key < best or (key == best and i == p and j < c):
+                        best, p, c = key, i, j
+        if best < 0:
+            break
+        prow = rows.pop(p)
+        sign = prow[c]
+        for i in list(in_col[c]):
+            if i == p:
+                continue
+            row = rows[i]
+            q = row[c] * sign
+            for j, x in prow.items():
+                y = row.get(j, 0) - q * x
+                if y:
+                    if j not in row:
+                        in_col[j].add(i)
+                    row[j] = y
+                else:
+                    del row[j]
+                    in_col[j].discard(i)
+            if not row:
+                del rows[i]
+        for j in prow:
+            in_col[j].discard(p)
+        units += 1
+    out = [1] * units
+    if rows:
+        # the residual block without unit entries, empty rows and columns dropped
+        cols = [j for j, used in enumerate(in_col) if used]
+        _, d, _ = _kernel.snf_decompose([[row.get(j, 0) for j in cols] for row in rows.values()])
+        out.extend(d[t][t] for t in range(min(len(rows), len(cols))) if d[t][t])
     return out
 
 

@@ -3,7 +3,7 @@
 import itertools
 from fractions import Fraction
 
-from hypermorse import exact, hypercore
+from hypermorse import _kernel, exact, hypercore
 from hypermorse.chains import SubChainComplex, boundary_matrix, edge_module_matrix
 from hypermorse.errors import NotMorseError
 from hypermorse.exact import ColumnSolver, ExactMatrix
@@ -170,6 +170,105 @@ def greedy_homology_representatives(scc, n):
             reps.append(list(ker.column(j)))
             current = trial
     return reps
+
+
+# ---------------------------------------------------------------------------
+# dense integer SNF, dense column solves and the transform-based field kernel
+
+
+def snf_diagonal_oracle(m):
+    """Non-zero SNF diagonal from the dense kernel SNF of the whole matrix."""
+    if m.rows == 0 or m.cols == 0:
+        return []
+    _, d, _ = _kernel.snf_decompose(m.row_lists())
+    return [d[t][t] for t in range(min(m.rows, m.cols)) if d[t][t]]
+
+
+class DenseColumnSolver:
+    """basis*x = vec solved on dense rows of the factored transpose."""
+
+    def __init__(self, basis, coeff):
+        self.basis = basis
+        self.coeff = coeff
+        rows_t = basis.transpose().row_lists()
+        if coeff.kind == "Z":
+            h, u = _kernel.hnf_rows_with_transform(rows_t)
+            pivots = []
+            for i, row in enumerate(h):
+                for j, x in enumerate(row):
+                    if x:
+                        pivots.append((i, j))
+                        break
+        else:
+            h, u, pivots = exact._rref_rows_with_transform(rows_t, coeff)
+        self._h = h
+        self._u = u
+        self._pivots = pivots
+
+    def solve(self, vec):
+        coeff = self.coeff
+        if len(vec) != self.basis.rows:
+            raise ValueError("vector length mismatch")
+        res = [coeff.normalize(x) for x in vec]
+        weights = {}
+        if coeff.kind == "Z":
+            for k, p in self._pivots:
+                b = res[p]
+                if b:
+                    a = self._h[k][p]
+                    if b % a:
+                        return None
+                    q = b // a
+                    row = self._h[k]
+                    for j in range(p, len(res)):
+                        if row[j]:
+                            res[j] -= q * row[j]
+                    weights[k] = q
+        else:
+            div, submul, _ = exact._field_closures(coeff)
+            for k, p in self._pivots:
+                b = res[p]
+                if b:
+                    q = div(b, self._h[k][p])
+                    row = self._h[k]
+                    for j in range(p, len(res)):
+                        if row[j]:
+                            res[j] = submul(res[j], q, row[j])
+                    weights[k] = q
+        if any(res):
+            return None
+        n = self.basis.cols
+        out = [0] * n
+        for k, q in weights.items():
+            urow = self._u[k]
+            for i in range(n):
+                if urow[i]:
+                    out[i] += q * urow[i]
+        return [coeff.normalize(x) for x in out]
+
+
+def field_kernel_basis_oracle(m, coeff):
+    """Field kernel from the rows of the transform u opposite the zero rows
+    of the RREF of the transpose, brought to RREF."""
+    rows_t = m.transpose().row_lists()
+    h, u, pivots = exact._rref_rows_with_transform(rows_t, coeff)
+    rows = [u[i] for i in range(len(pivots), len(h))]
+    rows = exact._rref_rows(rows, coeff)
+    return ExactMatrix.from_rows(rows, cols=m.cols).transpose()
+
+
+def snf_homology_oracle(scc):
+    """Integer homology of a sub-chain complex from the dense SNF diagonals."""
+    top = scc.top
+    ranks = [0] * (top + 2)
+    torsions = [()] * (top + 2)
+    for n in range(1, top + 1):
+        diag = snf_diagonal_oracle(scc.restricted[n])
+        ranks[n] = len(diag)
+        torsions[n] = tuple(d for d in diag if d > 1)
+    return tuple(
+        (scc.rank_at(n) - ranks[n] - ranks[n + 1], torsions[n + 1]) for n in range(top + 1)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -345,3 +345,57 @@ def test_hot_paths_avoid_module_algebra_and_rank(monkeypatch, h_section6, hp_224
     for coeff in (Q, Z7):
         hb = HomologyBasis(inf_complex(h_section6, coeff))
         assert [hb.betti(n) for n in range(3)] == [2, 1, 0]
+
+
+# ---------------------------------------------------------------------------
+# integer homology on the sparse unit-pivot Smith diagonal
+
+
+def _simplex(k):
+    labels = ["v%d" % i for i in range(k + 1)]
+    return delta_closure(Hypergraph.from_labels(labels, [labels]))
+
+
+def test_snf_diagonal_on_simplex_and_rp2_boundaries():
+    complexes = [_simplex(k) for k in range(8)] + [delta_closure(_rp2_hypergraph())]
+    for k in complexes:
+        for n in range(1, k.max_dimension() + 1):
+            bnd = boundary_matrix(k, n, Z)
+            assert exact.snf_diagonal(bnd) == oracles.snf_diagonal_oracle(bnd)
+
+
+def test_unimodular_boundaries_never_reach_kernel_snf(monkeypatch):
+    from hypermorse import _kernel
+
+    def refuse(mat):
+        raise AssertionError("the kernel SNF ran on a unimodular boundary")
+
+    monkeypatch.setattr(_kernel, "snf_decompose", refuse)
+    res = simplicial_homology(_simplex(8), Z)
+    assert res.betti == (1,) + (0,) * 8
+    assert not any(res.torsion)
+
+
+def _assert_snf_oracle_homology(h):
+    delta = delta_closure(h)
+    want = oracles.snf_homology_oracle(inf_complex(h, Z, delta))
+    assert oracles.snf_homology_oracle(sup_complex(h, Z, delta)) == want
+    assert embedded_homology(h, Z).groups == want
+
+
+def test_embedded_homology_matches_snf_oracle_on_random_hypergraphs():
+    rng = random.Random(406)
+    for _ in range(40):
+        _assert_snf_oracle_homology(generators.random_hypergraph(rng, 7, 16))
+
+
+def test_embedded_homology_matches_snf_oracle_on_rp2_deletions():
+    # the same deletions as test_embedded_cross_check_on_torsion_carrying_hypergraphs
+    rng = random.Random(88)
+    full = delta_closure(_rp2_hypergraph())
+    for _ in range(15):
+        kept = [e for e in full.edges if len(e) == 3 or rng.random() < 0.75]
+        h = Hypergraph(full.vertex_set, kept)
+        _assert_snf_oracle_homology(h)
+        # every triangle is kept, and with them the Z/2 torsion in degree 1
+        assert embedded_homology(h, Z).torsion[1] == (2,)

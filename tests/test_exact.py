@@ -14,9 +14,11 @@ from hypermorse.exact import (
     matmul,
     module_intersection,
     module_sum,
+    normalize,
     preimage_module,
     rank,
     snf,
+    snf_diagonal,
     solve_columns,
 )
 
@@ -262,3 +264,104 @@ def test_column_solver_reuse():
     assert solver.solve([1, 1, 1]) is None
     assert solver.solve([0, 0, 0]) == [0, 0]
     assert solver.contains([2, 4, 2])
+
+
+# ---------------------------------------------------------------------------
+# sparse unit-pivot Smith diagonal, sparse column solves and the field kernel
+# against the dense paths they replace
+
+
+def _unimodular(rng, n):
+    """A random integer matrix of determinant ±1 (elementary row operations)."""
+    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i == j:
+            rows[i] = [-x for x in rows[i]]
+        else:
+            q = rng.choice((-2, -1, 1, 2))
+            rows[i] = [x + q * y for x, y in zip(rows[i], rows[j])]
+    return ExactMatrix(n, n, rows)
+
+
+def test_snf_diagonal_matches_dense_oracle():
+    rng = random.Random(401)
+    for _ in range(150):
+        r, c = rng.randint(0, 8), rng.randint(0, 8)
+        dense = oracles.random_int_matrix(rng, r, c, -7, 7)
+        sparse = ExactMatrix(r, c, [[rng.choice((0, 0, 0, 1, -1)) for _ in range(c)] for _ in range(r)])
+        for m in (dense, sparse):
+            assert snf_diagonal(m) == oracles.snf_diagonal_oracle(m)
+
+
+def test_snf_diagonal_keeps_planted_torsion():
+    rng = random.Random(402)
+    for _ in range(60):
+        r, c = rng.randint(3, 7), rng.randint(3, 7)
+        d = ExactMatrix.zeros(r, c).row_lists()
+        d[0][0], d[1][1] = 2, 6
+        planted = matmul(
+            matmul(_unimodular(rng, r), ExactMatrix(r, c, d), Z), _unimodular(rng, c), Z
+        )
+        assert snf_diagonal(planted) == oracles.snf_diagonal_oracle(planted) == [2, 6]
+
+
+def test_snf_diagonal_empty_shapes():
+    for r, c in ((0, 0), (0, 4), (4, 0), (3, 3)):
+        m = ExactMatrix.zeros(r, c)
+        assert snf_diagonal(m) == oracles.snf_diagonal_oracle(m) == []
+
+
+@pytest.mark.parametrize("coeff", [Z, Q, Z5], ids=["Z", "Q", "Z5"])
+def test_column_solver_matches_dense_oracle(coeff):
+    rng = random.Random(403)
+    outside = 0
+    for _ in range(120):
+        r, c = rng.randint(0, 7), rng.randint(0, 7)
+        m = normalize(oracles.random_int_matrix(rng, r, c, -3, 3), coeff)
+        sparse, dense = ColumnSolver(m, coeff), oracles.DenseColumnSolver(m, coeff)
+        for _ in range(3):
+            x = [rng.randint(-3, 3) for _ in range(c)]
+            inside = [sum(m.data[i][k] * x[k] for k in range(c)) for i in range(r)]
+            other = [rng.randint(-3, 3) for _ in range(r)]
+            for vec in (inside, other):
+                got, want = sparse.solve(vec), dense.solve(vec)
+                assert got == want
+                if got is None:
+                    outside += 1
+                else:
+                    assert [type(v) for v in got] == [type(v) for v in want]
+    assert outside > 0
+
+
+def test_column_solver_non_divisible_over_z():
+    rng = random.Random(404)
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        scale = rng.choice((2, 3, 6))
+        m = ExactMatrix(
+            n, n, [[scale if i == j else 0 for j in range(n)] for i in range(n)]
+        )
+        m = matmul(_unimodular(rng, n), m, Z)
+        vec = [scale * rng.randint(-2, 2) for _ in range(n)]
+        vec[rng.randrange(n)] += 1
+        solver = ColumnSolver(m, Z)
+        assert solver.solve(vec) is None
+        assert oracles.DenseColumnSolver(m, Z).solve(vec) is None
+        # over Q the same vector is always reachable
+        assert ColumnSolver(m, Q).solve(vec) == oracles.DenseColumnSolver(m, Q).solve(vec)
+
+
+@pytest.mark.parametrize(
+    "coeff", [Q, prime_field(2), prime_field(3), Z5], ids=["Q", "Z2", "Z3", "Z5"]
+)
+def test_field_kernel_basis_matches_transform_oracle(coeff):
+    rng = random.Random(405)
+    for _ in range(150):
+        r, c = rng.randint(0, 7), rng.randint(0, 7)
+        m = ExactMatrix(
+            r,
+            c,
+            [[coeff.normalize(rng.choice((0, 0, 0, 1, -1, 2, -3))) for _ in range(c)] for _ in range(r)],
+        )
+        assert kernel_basis(m, coeff) == oracles.field_kernel_basis_oracle(m, coeff)
