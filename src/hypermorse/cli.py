@@ -1,10 +1,13 @@
 """Command-line front end: JSON documents in, deterministic reports out.
 
 Subcommands: complex, homology, morse, map, discrepancy.  Reports are JSON by
-default (sorted keys, fixed layout, byte-deterministic) or a plain text
+default, byte-deterministic and laid out exactly as
+json.dumps(report, sort_keys=True, indent=2) with ASCII escapes (written by
+_json, since the stdlib's indenting encoder is pure Python), or a plain text
 rendering with --format text.  Exit codes: 0 success, 2 parse error, 3
-invalid document, 4 invalid morphism, 5 size cap exceeded, 6 internal error
-(a consistency check failed; this is a bug).
+invalid document (a non-string or unknown vertex label included), 4 invalid
+morphism, 5 size cap exceeded, 6 internal error (a consistency check failed;
+this is a bug).
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ def _parse_rational(value, where):
 
 
 def _format_rational(x):
-    x = Fraction(x)
+    # x is an int or a Fraction, both already in lowest terms
     if x.denominator == 1:
         return str(x.numerator)
     return "%d/%d" % (x.numerator, x.denominator)
@@ -89,24 +92,34 @@ def _parse_document(doc, where="document"):
         if not isinstance(block, dict):
             raise InvalidDocumentError("%s: 'morse' must be an object" % where)
         delta = hypercore.delta_closure(h)
+        label_index = h.vertex_set._index.__getitem__
+        hyperedges = h._edge_set
         values = {}
         for key, raw in block.items():
-            labels = key.split(",")
             try:
-                edge = tuple(sorted(h.vertex_set.index(l) for l in labels))
-            except ValueError as exc:
-                raise InvalidDocumentError("%s: morse key %r: %s" % (where, key, exc)) from exc
-            if h.edge_key(edge) != key:
+                edge = tuple(map(label_index, key.split(",")))
+            except KeyError as exc:
                 raise InvalidDocumentError(
-                    "%s: morse key %r is not in canonical vertex order" % (where, key)
-                )
-            if not delta.contains_edge(edge):
-                raise InvalidDocumentError(
-                    "%s: morse key %r is outside the associated complex" % (where, key)
-                )
+                    "%s: morse key %r: unknown vertex label %r" % (where, key, exc.args[0])
+                ) from None
+            # a hyperedge is canonical and in the complex; any other key is
+            # canonical iff its indices do not decrease (a repeated label
+            # passes here and is then outside the complex)
+            if edge not in hyperedges:
+                if list(edge) != sorted(edge):
+                    raise InvalidDocumentError(
+                        "%s: morse key %r is not in canonical vertex order" % (where, key)
+                    )
+                if not delta.contains_edge(edge):
+                    raise InvalidDocumentError(
+                        "%s: morse key %r is outside the associated complex" % (where, key)
+                    )
             if edge in values:
                 raise InvalidDocumentError("%s: duplicate morse key %r" % (where, key))
-            values[edge] = _parse_rational(raw, "%s: morse[%r]" % (where, key))
+            if type(raw) is int:
+                values[edge] = Fraction(raw)
+            else:
+                values[edge] = _parse_rational(raw, "%s: morse[%r]" % (where, key))
         for e in h.edges:
             if e not in values:
                 raise InvalidDocumentError(
@@ -174,35 +187,71 @@ def _report(command, raw, coeff, result, notes, timestamp):
     return report
 
 
-def _emit(report, fmt, out):
-    if fmt == "json":
-        out.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
-    else:
-        _emit_text(report, out)
+_encode_str = json.encoder.encode_basestring_ascii
+_JSON_SCALARS = {
+    str: _encode_str,
+    int: int.__repr__,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+_CONTAINERS = {dict, list}
 
 
-def _emit_text(report, out):
-    def walk(value, indent):
-        pad = "  " * indent
+def _json(value, indent=""):
+    """json.dumps(value, sort_keys=True, indent=2), byte for byte, for the
+    types a report holds: dicts with string keys, lists, str, int, bool and
+    None.  The stdlib runs its pure-Python encoder whenever indent is set."""
+    scalar = _JSON_SCALARS.get(type(value))
+    if scalar is not None:
+        return scalar(value)
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if type(value) is dict:
+        if not value:
+            return "{}"
+        body = sep.join([_encode_str(k) + ": " + _json(value[k], inner) for k in sorted(value)])
+        return "{\n" + inner + body + "\n" + indent + "}"
+    if type(value) is list:
+        if not value:
+            return "[]"
+        types = set(map(type, value))
+        scalar = _JSON_SCALARS.get(types.pop()) if len(types) == 1 else None
+        body = sep.join(map(scalar, value) if scalar else [_json(v, inner) for v in value])
+        return "[\n" + inner + body + "\n" + indent + "]"
+    raise TypeError("Object of type %s is not JSON serializable" % type(value).__name__)
+
+
+def _text(report):
+    lines = ["hypermorse %s (%s)" % (report["version"], report["command"])]
+
+    def walk(value, pad):
         if isinstance(value, dict):
             for k in sorted(value):
                 v = value[k]
                 if isinstance(v, (dict, list)):
-                    out.write("%s%s:\n" % (pad, k))
-                    walk(v, indent + 1)
+                    lines.append("%s%s:" % (pad, k))
+                    walk(v, pad + "  ")
                 else:
-                    out.write("%s%s: %s\n" % (pad, k, v))
+                    lines.append("%s%s: %s" % (pad, k, v))
         elif isinstance(value, list):
+            item = pad + "- "
+            if _CONTAINERS.isdisjoint(map(type, value)):
+                lines.extend([item + str(v) for v in value])
+                return
             for v in value:
                 if isinstance(v, (dict, list)):
-                    walk(v, indent)
+                    walk(v, pad)
                 else:
-                    out.write("%s- %s\n" % (pad, v))
+                    lines.append(item + str(v))
         else:
-            out.write("%s%s\n" % (pad, value))
+            lines.append("%s%s" % (pad, value))
 
-    out.write("hypermorse %s (%s)\n" % (report["version"], report["command"]))
-    walk({k: v for k, v in report.items() if k not in ("tool", "version", "command")}, 0)
+    walk({k: v for k, v in report.items() if k not in ("tool", "version", "command")}, "")
+    return "\n".join(lines) + "\n"
+
+
+def _emit(report, fmt, out):
+    out.write(_json(report) + "\n" if fmt == "json" else _text(report))
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +370,7 @@ def _cmd_morse(args, out):
             [host.edge_key(a), host.edge_key(b)] for a, b in field.pairs
         ]
         result["proper"] = morse.is_proper(field)
-        result["semi_proper"] = morse.is_semi_proper(field)
+        result["semi_proper"] = morse._semi_proper(field, ok, glm)
         result["acyclic"] = ok
         result["linear_map"] = {
             str(n): [[x for x in row] for row in glm.matrices[n].data]

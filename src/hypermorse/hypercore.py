@@ -59,14 +59,17 @@ class VertexSet:
     def index(self, name):
         try:
             return self._index[name]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable name
             raise ValueError("unknown vertex label %r" % (name,)) from None
 
     def __len__(self):
         return len(self.names)
 
     def __contains__(self, name):
-        return name in self._index
+        try:
+            return name in self._index
+        except TypeError:  # an unhashable name is no label
+            return False
 
     def __eq__(self, other):
         return isinstance(other, VertexSet) and self.names == other.names
@@ -103,12 +106,17 @@ class Hypergraph:
     def __init__(self, vertex_set, edges):
         if not isinstance(vertex_set, VertexSet):
             vertex_set = VertexSet(vertex_set)
+        n = len(vertex_set)
+        self._build(vertex_set, [_validate_edge(e, n) for e in edges])
+
+    def _build(self, vertex_set, edges):
+        """Store valid edges: duplicates merge with a DuplicateEdgeWarning,
+        the rest are sorted."""
         self.vertex_set = vertex_set
         seen = set()
         dups = []
         canonical = []
-        for e in edges:
-            t = _validate_edge(e, len(vertex_set))
+        for t in edges:
             if t in seen:
                 dups.append(t)
             else:
@@ -118,25 +126,34 @@ class Hypergraph:
             warnings.warn(
                 "merged %d duplicate hyperedge(s): %s" % (len(dups), sorted(dups)),
                 DuplicateEdgeWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
-        canonical.sort(key=edge_sort_key)
+        # edge_sort_key order: lexicographic, then stably by size
+        canonical.sort()
+        canonical.sort(key=len)
         self._set_edges(canonical)
 
     def _set_edges(self, edges):
         """Store edges that are valid, distinct and in edge_sort_key order."""
         self.edges = tuple(edges)
         self._edge_set = frozenset(self.edges)
-        by_dim = {}
-        for t in self.edges:
-            by_dim.setdefault(len(t) - 1, []).append(t)
-        self._by_dim = {d: tuple(es) for d, es in by_dim.items()}
+        self._by_dim = {n - 1: tuple(es) for n, es in itertools.groupby(self.edges, len)}
 
     @classmethod
     def from_labels(cls, vertex_labels, edge_label_lists):
         vs = VertexSet(vertex_labels)
-        edges = [tuple(sorted(vs.index(l) for l in e)) for e in edge_label_lists]
-        return cls(vs, edges)
+        index = vs.index
+        # every label is mapped before any edge is checked, so an unknown
+        # label anywhere is the first error; indices from vs are in range
+        edges = [tuple(sorted(map(index, e))) for e in edge_label_lists]
+        for t in edges:
+            if not t:
+                raise ValueError("hyperedges must be non-empty")
+            if len(set(t)) < len(t):
+                raise ValueError("hyperedge %r is not strictly increasing" % (t,))
+        self = cls.__new__(cls)
+        self._build(vs, edges)
+        return self
 
     def contains_edge(self, edge):
         return tuple(edge) in self._edge_set
@@ -156,7 +173,8 @@ class Hypergraph:
 
     def edge_key(self, edge):
         """Canonical string key: labels in vertex order joined by a comma."""
-        return ",".join(self.edge_labels(edge))
+        names = self.vertex_set.names
+        return ",".join([names[i] for i in edge])
 
     def to_document(self):
         return {
@@ -196,8 +214,8 @@ class SimplicialComplex(Hypergraph):
 
     __slots__ = ()
 
-    def __init__(self, vertex_set, edges):
-        super().__init__(vertex_set, edges)
+    def _build(self, vertex_set, edges):
+        super()._build(vertex_set, edges)
         for e in self.edges:
             for tau in nonempty_subsets(e):
                 if tau not in self._edge_set:
@@ -231,17 +249,30 @@ def delta_closure(h):
     complexes of its hyperedges.  A SimplicialComplex is its own closure."""
     if isinstance(h, SimplicialComplex):
         return h
-    simplices = set()
-    for e in h.edges:
-        simplices.update(nonempty_subsets(e))
-    return SimplicialComplex._trusted(h.vertex_set, sorted(simplices, key=edge_sort_key))
+    # walk down one dimension at a time: the n-cells are the n-edges plus the
+    # codimension-1 faces of the (n+1)-cells, each face kept once
+    levels = []
+    cells = set()
+    for n in range(h.max_dimension(), -1, -1):
+        cells.update(h.edges_of_dim(n))
+        levels.append(sorted(cells))
+        cells = {f for e in cells for f in itertools.combinations(e, n)}
+    return SimplicialComplex._trusted(
+        h.vertex_set, [e for level in reversed(levels) for e in level]
+    )
 
 
 def lower_complex(h):
     """Largest simplicial complex contained in h: the edges all of whose
     non-empty subsets are edges of h."""
-    keep = [e for e in h.edges if all(t in h._edge_set for t in nonempty_subsets(e))]
-    return SimplicialComplex._trusted(h.vertex_set, keep)
+    # h.edges run up by dimension, so an edge's faces are decided before it
+    # is; all its non-empty subsets are edges iff its codimension-1 faces
+    # are kept (a vertex has none)
+    keep = set()
+    for e in h.edges:
+        if len(e) == 1 or all(f in keep for f in itertools.combinations(e, len(e) - 1)):
+            keep.add(e)
+    return SimplicialComplex._trusted(h.vertex_set, [e for e in h.edges if e in keep])
 
 
 def is_simplicial(h):

@@ -302,11 +302,18 @@ def is_semi_proper(v):
     """No chained pairs gamma < alpha < beta with both pairs in the field;
     cross-validated against the square of the induced linear map being zero
     whenever the field is acyclic."""
+    acyclic = is_acyclic(v)[0]
+    return _semi_proper(v, acyclic, linear_map(v, Z) if acyclic else None)
+
+
+def _semi_proper(v, acyclic, glm):
+    """is_semi_proper for a caller that already has is_acyclic(v)[0] and,
+    when that holds, linear_map(v, Z) as glm."""
     uppers = {b for _, b in v.pairs}
     lowers = {a for a, _ in v.pairs}
     combinatorial = not (uppers & lowers)
-    if is_acyclic(v)[0]:
-        algebraic = linear_map(v, Z).square_is_zero()
+    if acyclic:
+        algebraic = glm.square_is_zero()
         if combinatorial != algebraic:
             raise InternalConsistencyError(
                 "semi-properness check disagrees with the squared linear map"

@@ -1,13 +1,15 @@
 """Brute-force oracles, independent of the implementation paths they check."""
 
 import itertools
+import json
 from fractions import Fraction
 
 from hypermorse import _kernel, exact, hypercore
 from hypermorse.chains import SubChainComplex, boundary_matrix, edge_module_matrix
-from hypermorse.errors import NotMorseError
+from hypermorse.cli import _parse_rational
+from hypermorse.errors import InvalidDocumentError, NotMorseError
 from hypermorse.exact import ColumnSolver, ExactMatrix
-from hypermorse.hypercore import edge_sort_key
+from hypermorse.hypercore import Hypergraph, SimplicialComplex, VertexSet, edge_sort_key
 from hypermorse.morse import CriticalReport, GradientField, MorseViolation
 
 
@@ -23,6 +25,107 @@ def delta_closure_oracle(h):
     universe = powerset_nonempty(tuple(range(len(h.vertex_set))))
     edge_sets = [set(e) for e in h.edges]
     return {s for s in universe if any(set(s) <= es for es in edge_sets)}
+
+
+def delta_closure_subsets_oracle(h):
+    """The associated complex from every non-empty subset of every hyperedge."""
+    if isinstance(h, SimplicialComplex):
+        return h
+    simplices = set()
+    for e in h.edges:
+        simplices.update(powerset_nonempty(e))
+    return SimplicialComplex._trusted(h.vertex_set, sorted(simplices, key=edge_sort_key))
+
+
+def lower_complex_subsets_oracle(h):
+    """The lower-associated complex by testing every non-empty subset."""
+    keep = [e for e in h.edges if all(h.contains_edge(t) for t in powerset_nonempty(e))]
+    return SimplicialComplex._trusted(h.vertex_set, keep)
+
+
+def from_labels_oracle(vertex_labels, edge_label_lists):
+    """Hypergraph.from_labels through the fully validating constructor."""
+    vs = VertexSet(vertex_labels)
+    return Hypergraph(vs, [tuple(sorted(vs.index(l) for l in e)) for e in edge_label_lists])
+
+
+def parse_document_oracle(doc, where="document"):
+    """The command line's document parse, key by key: (h, values, complex),
+    the complex built whenever there is a morse block."""
+    if not isinstance(doc, dict):
+        raise InvalidDocumentError("%s: expected a JSON object" % where)
+    unknown = set(doc) - {"vertices", "hyperedges", "morse"}
+    if unknown:
+        raise InvalidDocumentError("%s: unknown fields %s" % (where, sorted(unknown)))
+    vertices = doc.get("vertices")
+    edges = doc.get("hyperedges")
+    if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
+        raise InvalidDocumentError("%s: 'vertices' must be a list of strings" % where)
+    if not isinstance(edges, list) or not all(isinstance(e, list) for e in edges):
+        raise InvalidDocumentError("%s: 'hyperedges' must be a list of lists" % where)
+    try:
+        h = from_labels_oracle(vertices, edges)
+    except ValueError as exc:
+        raise InvalidDocumentError("%s: %s" % (where, exc)) from exc
+    values = delta = None
+    if "morse" in doc:
+        block = doc["morse"]
+        if not isinstance(block, dict):
+            raise InvalidDocumentError("%s: 'morse' must be an object" % where)
+        delta = delta_closure_subsets_oracle(h)
+        values = {}
+        for key, raw in block.items():
+            labels = key.split(",")
+            try:
+                edge = tuple(sorted(h.vertex_set.index(l) for l in labels))
+            except ValueError as exc:
+                raise InvalidDocumentError("%s: morse key %r: %s" % (where, key, exc)) from exc
+            if ",".join(h.edge_labels(edge)) != key:
+                raise InvalidDocumentError(
+                    "%s: morse key %r is not in canonical vertex order" % (where, key)
+                )
+            if not delta.contains_edge(edge):
+                raise InvalidDocumentError(
+                    "%s: morse key %r is outside the associated complex" % (where, key)
+                )
+            if edge in values:
+                raise InvalidDocumentError("%s: duplicate morse key %r" % (where, key))
+            values[edge] = _parse_rational(raw, "%s: morse[%r]" % (where, key))
+        for e in h.edges:
+            if e not in values:
+                raise InvalidDocumentError(
+                    "%s: morse block misses hyperedge %r" % (where, ",".join(h.edge_labels(e)))
+                )
+    return h, values, delta
+
+
+def emit_oracle(report, fmt, out):
+    """A report through json.dumps, or as text one line per write."""
+    if fmt == "json":
+        out.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+        return
+
+    def walk(value, indent):
+        pad = "  " * indent
+        if isinstance(value, dict):
+            for k in sorted(value):
+                v = value[k]
+                if isinstance(v, (dict, list)):
+                    out.write("%s%s:\n" % (pad, k))
+                    walk(v, indent + 1)
+                else:
+                    out.write("%s%s: %s\n" % (pad, k, v))
+        elif isinstance(value, list):
+            for v in value:
+                if isinstance(v, (dict, list)):
+                    walk(v, indent)
+                else:
+                    out.write("%s- %s\n" % (pad, v))
+        else:
+            out.write("%s%s\n" % (pad, value))
+
+    out.write("hypermorse %s (%s)\n" % (report["version"], report["command"]))
+    walk({k: v for k, v in report.items() if k not in ("tool", "version", "command")}, 0)
 
 
 def lower_complex_oracle(h):

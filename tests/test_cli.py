@@ -1,8 +1,17 @@
+import contextlib
+import io
 import json
+import random
+import warnings
+from fractions import Fraction
 
 import pytest
 
-from hypermorse import cli
+from hypermorse import cli, hypercore
+from hypermorse.hypercore import delta_closure
+
+import generators
+import oracles
 
 SECTION6_DOC = {
     "vertices": ["v0", "v1", "v2", "v3"],
@@ -429,3 +438,256 @@ def test_main_reuses_its_parser_across_calls(tmp_path, capsys):
         assert [run(argv) for argv in calls] == first
     h, values = cli.parse_hypergraph_document(SECTION6_DOC)
     assert len(h.edges) == 8 and values[(0,)] == 1
+
+
+def test_non_string_hyperedge_label_exit_3(tmp_path, capsys):
+    path = _write(tmp_path, "h.json", {"vertices": ["a"], "hyperedges": [[["a"]]]})
+    code, out, err = _run(capsys, ["homology", path])
+    assert code == cli.EXIT_BAD_DOCUMENT and out == ""
+    assert err == "invalid document: document: unknown vertex label ['a']\n"
+
+
+def test_non_string_morphism_image_exit_3(tmp_path, capsys):
+    doc = {
+        "source": {"vertices": ["a"], "hyperedges": [["a"]]},
+        "target": {"vertices": ["x"], "hyperedges": [["x"]]},
+        "map": {"a": ["x"]},
+    }
+    path = _write(tmp_path, "phi.json", doc)
+    code, out, err = _run(capsys, ["map", path])
+    assert code == cli.EXIT_BAD_DOCUMENT and out == ""
+    assert err == "invalid document: unknown target vertex ['x']\n"
+
+
+# ---------------------------------------------------------------------------
+# the report writer and the document parse against their oracles
+
+_JSON_CHARS = 'aZ09 ,:"\\/\b\f\n\r\t\x00\x01\x1f\x7f\u00e9\u2028\u65e5\U0001f600'
+
+
+def _random_scalar(rng, kind):
+    if kind == 0:
+        return "".join(rng.choice(_JSON_CHARS) for _ in range(rng.randrange(6)))
+    if kind == 1:
+        return rng.choice([0, 1, -1, rng.randint(-(10**6), 10**6), 2**70, -(2**64) - 3])
+    if kind == 2:
+        return rng.random() < 0.5
+    return None
+
+
+def _random_value(rng, depth=0):
+    kind = rng.randrange(7 if depth < 4 else 4)
+    if kind < 4:
+        return _random_scalar(rng, kind)
+    if kind == 4:  # a list of one scalar type, possibly empty
+        scalar = rng.randrange(4)
+        return [_random_scalar(rng, scalar) for _ in range(rng.randrange(5))]
+    if kind == 5:  # scalars and containers mixed
+        return [_random_value(rng, depth + 1) for _ in range(rng.randrange(5))]
+    return {
+        _random_scalar(rng, 0): _random_value(rng, depth + 1) for _ in range(rng.randrange(5))
+    }
+
+
+def test_json_writer_matches_json_dumps():
+    rng = random.Random(23)
+    values = [_random_value(rng) for _ in range(400)]
+    values += [[], {}, [[]], {"": {}}, [[], {}, 0, "", None], {"b": 1, "a": [True, None]}]
+    for value in values:
+        assert cli._json(value) == json.dumps(value, sort_keys=True, indent=2)
+    for value in ({"a": 1.5}, [(1, 2)], {"a": Fraction(1, 2)}):
+        with pytest.raises(TypeError):
+            cli._json(value)
+
+
+def test_text_writer_matches_line_writer():
+    rng = random.Random(29)
+    for _ in range(200):
+        report = {"tool": "hypermorse", "version": "1", "command": "morse"}
+        report.update({"result": _random_value(rng), "notes": _random_value(rng)})
+        expected = io.StringIO()
+        oracles.emit_oracle(report, "text", expected)
+        assert cli._text(report) == expected.getvalue()
+
+
+def _rational_json(rng, x):
+    """x as a document holds it: an int, an integer string or 'p/q'."""
+    if x.denominator == 1:
+        return x.numerator if rng.random() < 0.7 else str(x.numerator)
+    return "%d/%d" % (x.numerator, x.denominator)
+
+
+def _document(rng, h, values=None):
+    """h as a document: edges and morse keys in random order, edge labels
+    shuffled, values scaled to fractions now and then."""
+    edges = [list(h.edge_labels(e)) for e in h.edges]
+    for labels in edges:
+        rng.shuffle(labels)
+    rng.shuffle(edges)
+    doc = {"vertices": list(h.vertex_set.names), "hyperedges": edges}
+    if values is not None:
+        scale = Fraction(rng.choice([1, 1, -1]), rng.choice([1, 2, 3, 7]))
+        keys = list(values)
+        rng.shuffle(keys)
+        doc["morse"] = {
+            ",".join(h.vertex_set.names[i] for i in e): _rational_json(rng, scale * values[e])
+            for e in keys
+        }
+    return doc
+
+
+def _seeded_documents(seed, count, max_vertices=6, max_edges=10):
+    rng = random.Random(seed)
+    docs = []
+    for _ in range(count):
+        h = generators.random_hypergraph(rng, max_vertices, max_edges)
+        on_delta = generators.random_morse_function(rng, delta_closure(h)).values
+        on_h = generators.random_morse_function(rng, h).values
+        docs += [_document(rng, h, on_delta), _document(rng, h, on_h), _document(rng, h)]
+    return docs
+
+
+def _outcome(parse, doc):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = ("ok", parse(doc))
+        except Exception as exc:  # the oracle comparison covers every error
+            result = ("error", type(exc), str(exc))
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+def _same_parse(doc):
+    (mine, mine_warned), (old, old_warned) = (
+        _outcome(cli._parse_document, doc),
+        _outcome(oracles.parse_document_oracle, doc),
+    )
+    assert mine_warned == old_warned
+    if old[0] == "error":
+        assert mine == old
+        return
+    assert mine[0] == "ok"
+    (h, values, delta), (h0, values0, delta0) = mine[1], old[1]
+    assert h == h0 and h.edges == h0.edges and type(h) is type(h0)
+    assert values == values0
+    assert values is None or all(type(x) is Fraction for x in values.values())
+    assert (delta is None) == (delta0 is None)
+    assert delta is None or (delta == delta0 and delta.edges == delta0.edges)
+
+
+def test_parse_matches_oracle_on_seeded_documents():
+    for doc in _seeded_documents(31, 60):
+        _same_parse(doc)
+
+
+_V3 = ["v0", "v1", "v2"]
+_TRIANGLE = [["v0", "v1"], ["v1", "v2"], ["v0", "v2"], ["v0"]]
+
+MALFORMED = [
+    [],
+    {"vertices": _V3, "hyperedges": [], "extra": 1},
+    {"vertices": ["v0", 1], "hyperedges": []},
+    {"vertices": _V3, "hyperedges": [["v0"], "v1"]},
+    {"vertices": ["a", "a"], "hyperedges": []},
+    # hyperedges: unknown label, empty edge, repeated label, duplicates, and
+    # an unknown label after an empty edge still reported first
+    {"vertices": _V3, "hyperedges": [["v0", "zz"]]},
+    {"vertices": _V3, "hyperedges": [["v0"], []]},
+    {"vertices": _V3, "hyperedges": [["v1", "v0", "v1"]]},
+    {"vertices": _V3, "hyperedges": [["v0", "v1"], ["v1", "v0"], ["v2"], ["v2"]]},
+    {"vertices": _V3, "hyperedges": [[], ["v1", "v1"], ["zz"]]},
+    {"vertices": _V3, "hyperedges": [["v2", "v2"], []]},
+    # a label that contains a comma
+    {"vertices": ["a,b", "a"], "hyperedges": [["a,b"]], "morse": {"a,b": 1}},
+    {"vertices": ["a,b", "a", "b"], "hyperedges": [["a", "b"]], "morse": {"a,b": 1, "a": 0, "b": 0}},
+    {"vertices": ["", "a"], "hyperedges": [["", "a"]], "morse": {",a": 1, "": 0, "a": 0}},
+    # morse keys
+    {"vertices": _V3, "hyperedges": _TRIANGLE, "morse": []},
+    {"vertices": _V3, "hyperedges": _TRIANGLE, "morse": {"v0,zz": 1}},
+    {"vertices": _V3, "hyperedges": _TRIANGLE, "morse": {"v1,v0": 1}},
+    {"vertices": _V3, "hyperedges": _TRIANGLE, "morse": {"v0,v0": 1}},
+    {"vertices": _V3, "hyperedges": _TRIANGLE, "morse": {"v2,v2,v1": 1}},
+    {"vertices": _V3, "hyperedges": _TRIANGLE, "morse": {"v0,v1,v2": 1}},
+    {"vertices": _V3, "hyperedges": [["v0", "v1"]], "morse": {"v0,v1": 1, "v2": 0}},
+    {"vertices": _V3, "hyperedges": [["v0", "v1"]], "morse": {"": 0, "v0,v1": 1}},
+    # values: bool, float, bad strings, null; then a missing hyperedge
+    {"vertices": _V3, "hyperedges": [["v0"]], "morse": {"v0": True}},
+    {"vertices": _V3, "hyperedges": [["v0"]], "morse": {"v0": 1.5}},
+    {"vertices": _V3, "hyperedges": [["v0"]], "morse": {"v0": "1/0"}},
+    {"vertices": _V3, "hyperedges": [["v0"]], "morse": {"v0": "1.5"}},
+    {"vertices": _V3, "hyperedges": [["v0"]], "morse": {"v0": "x"}},
+    {"vertices": _V3, "hyperedges": [["v0"]], "morse": {"v0": None}},
+    {"vertices": _V3, "hyperedges": [["v0"]], "morse": {"v0": " -3/4 "}},
+    {"vertices": _V3, "hyperedges": _TRIANGLE, "morse": {"v0": 1, "v0,v1": 2}},
+    {"vertices": _V3, "hyperedges": _TRIANGLE, "morse": {"v2": 1}},
+    # the first failing key decides, in block order
+    {"vertices": _V3, "hyperedges": _TRIANGLE, "morse": {"v0": "x", "v1,v0": 1}},
+    {"vertices": _V3, "hyperedges": _TRIANGLE, "morse": {"v1,v0": 1, "v0": "x"}},
+    {"vertices": _V3, "hyperedges": _TRIANGLE, "morse": {"v0,v1,v2": 1, "zz": 0}},
+    {"vertices": _V3, "hyperedges": [["v0", "v0"]], "morse": {"zz": 0}},
+]
+
+
+def test_parse_matches_oracle_on_malformed_documents():
+    for doc in MALFORMED:
+        _same_parse(doc)
+
+
+# ---------------------------------------------------------------------------
+# whole command lines against the old parse, closure and json.dumps
+
+
+def _cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue(), [(w.category, str(w.message)) for w in caught]
+
+
+def _assert_same_as_oracle(monkeypatch, calls):
+    mine = [_cli(argv) for argv in calls]
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_parse_document", oracles.parse_document_oracle)
+        m.setattr(cli, "_emit", oracles.emit_oracle)
+        m.setattr(hypercore, "delta_closure", oracles.delta_closure_subsets_oracle)
+        m.setattr(hypercore, "lower_complex", oracles.lower_complex_subsets_oracle)
+        old = [_cli(argv) for argv in calls]
+    for argv, a, b in zip(calls, mine, old):
+        assert a == b, argv
+    return mine
+
+
+def test_cli_morse_and_discrepancy_match_oracle(tmp_path, monkeypatch):
+    calls = []
+    for i, doc in enumerate(_seeded_documents(37, 16, max_vertices=5, max_edges=8) + MALFORMED):
+        path = _write(tmp_path, "d%d.json" % i, doc)
+        for fmt in ("json", "text"):
+            calls.append(["discrepancy", path, "--format", fmt])
+            for sub in ("check", "critical", "gradient", "extend"):
+                for on in ("hyper", "assoc", "lower"):
+                    calls.append(["morse", path, sub, "--on", on, "--format", fmt])
+    codes = {out[0] for out in _assert_same_as_oracle(monkeypatch, calls)}
+    assert {0, cli.EXIT_BAD_DOCUMENT} <= codes
+
+
+def test_cli_homology_complex_and_map_match_oracle(tmp_path, monkeypatch):
+    rng = random.Random(41)
+    calls = []
+    for i, doc in enumerate(_seeded_documents(43, 3) + MALFORMED[:12]):
+        path = _write(tmp_path, "h%d.json" % i, doc)
+        for fmt in ("json", "text"):
+            calls.append(["complex", path, "--mode", rng.choice(["assoc", "lower"]), "--format", fmt])
+            for which in ("embedded", "inf", "sup", "lower"):
+                calls.append(["homology", path, "--which", which, "--format", fmt])
+    for i in range(4):
+        source = generators.random_hypergraph(rng, max_vertices=5, max_edges=6)
+        vmap, target = generators.random_morphism(rng, source)
+        doc = {"source": _document(rng, source), "target": _document(rng, target), "map": vmap}
+        path = _write(tmp_path, "m%d.json" % i, doc)
+        for fmt in ("json", "text"):
+            coeff = "q" if i % 2 else "zp:3"
+            calls.append(["map", path, "--coeff", coeff, "--check-diagram", "--format", fmt])
+    codes = {out[0] for out in _assert_same_as_oracle(monkeypatch, calls)}
+    assert {0, cli.EXIT_BAD_DOCUMENT} <= codes

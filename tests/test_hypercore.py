@@ -183,3 +183,37 @@ def test_closure_fast_path_matches_validated_complex():
             assert fast.max_dimension() == checked.max_dimension()
             for e in oracles.powerset_nonempty(tuple(range(len(h.vertex_set)))):
                 assert fast.contains_edge(e) == checked.contains_edge(e)
+
+
+def test_closures_match_subset_enumeration():
+    rng = random.Random(19)
+    cases = [generators.random_hypergraph(rng, max_vertices=7, max_edges=14) for _ in range(150)]
+    cases.append(Hypergraph(VertexSet(["a", "b"]), []))
+    for k in range(9):
+        labels = ["v%d" % i for i in range(k + 1)]
+        cases.append(Hypergraph.from_labels(labels, [labels]))
+    for h in cases:
+        for fast, slow in (
+            (delta_closure(h), oracles.delta_closure_subsets_oracle(h)),
+            (lower_complex(h), oracles.lower_complex_subsets_oracle(h)),
+        ):
+            assert isinstance(fast, SimplicialComplex)
+            assert fast.vertex_set == slow.vertex_set and fast.edges == slow.edges
+            for n in range(-1, 10):
+                assert fast.edges_of_dim(n) == tuple(e for e in slow.edges if len(e) == n + 1)
+    assert len(delta_closure(cases[-1]).edges) == 2**9 - 1
+
+
+def test_unhashable_label_is_unknown():
+    vs = VertexSet(["a", "b"])
+    assert ["a"] not in vs and {"a": 1} not in vs and "a" in vs
+    with pytest.raises(ValueError, match="unknown vertex label"):
+        vs.index(["a"])
+    with pytest.raises(ValueError, match=r"unknown vertex label \['a'\]"):
+        Hypergraph.from_labels(["a"], [[["a"]]])
+
+
+def test_edge_key_joins_labels_in_vertex_order():
+    h = Hypergraph.from_labels(["z", "a,b", ""], [["z", "", "a,b"], [""]])
+    assert [h.edge_key(e) for e in h.edges] == ["", "z,a,b,"]
+    assert all(h.edge_key(e) == ",".join(h.edge_labels(e)) for e in h.edges)
