@@ -9,7 +9,9 @@ induced by hypergraph morphisms.
 
 __version__ = "1.0.0"
 
-from ._kernel import BACKEND as KERNEL_BACKEND
+# the integer kernel has one, pure-Python implementation
+KERNEL_BACKEND = "py"
+
 from .coeffs import CoeffSpec, Q, Z, prime_field
 from .hypercore import (
     Hypergraph,

@@ -6,18 +6,35 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
+# Miller-Rabin with the first twelve primes as bases is exact for every
+# n < 3.18e23 (Sorenson and Webster, Math. Comp. 86, 2017), which covers
+# every modulus below _MAX_MODULUS
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MAX_MODULUS = 2**64
+
+
 def _is_prime(p):
+    """Exact primality test for p < 3.18e23."""
     if p < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for b in _WITNESSES:
+        if p % b == 0:
+            return p == b
+    d = p - 1
+    s = 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _WITNESSES:
+        x = pow(b, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -32,6 +49,8 @@ class CoeffSpec:
         if self.kind not in ("Z", "Q", "Zp"):
             raise ValueError("unknown coefficient kind %r" % (self.kind,))
         if self.kind == "Zp":
+            if self.p is not None and self.p >= _MAX_MODULUS:
+                raise ValueError("prime field modulus must be below 2**64, got %r" % (self.p,))
             if self.p is None or not _is_prime(self.p):
                 raise ValueError("prime field needs a prime modulus, got %r" % (self.p,))
         elif self.p is not None:

@@ -4,10 +4,10 @@ Matrices are immutable, entries are Python ints (Z and Z/p, stored as
 canonical residues) or Fractions (Q); no floating point anywhere.  Canonical
 bases make span-level statements testable as structural matrix equality:
 column Hermite normal form over Z, reduced column echelon form over fields.
-The integer Hermite elimination lives in the _kernel twins.  Integer
-homology reads the Smith diagonal from snf_diagonal, which cancels unit
-pivots on a sparse copy here and hands only the block left without unit
-entries to the kernel SNF.
+Field elimination lives here; the integer Hermite elimination and the Smith
+invariant factors live in _kernel.  Integer homology reads the Smith
+diagonal from snf_diagonal, which cancels unit pivots on a sparse copy here
+and hands only the block left without unit entries to _kernel.snf_decompose.
 """
 
 from __future__ import annotations
@@ -369,32 +369,10 @@ class ColumnSolver:
         return self.solve(vec) is not None
 
 
-def solve_columns(m, vec, coeff):
-    """One-shot basis expression; prefer ColumnSolver for repeated solves."""
-    return ColumnSolver(m, coeff).solve(vec)
-
-
 def rank(m, coeff):
     if coeff.kind == "Z":
         return len(_rref_rows(m.row_lists(), CoeffSpec("Q")))
     return len(_rref_rows(m.row_lists(), coeff))
-
-
-def snf(m):
-    """Smith normal form over Z: (u, d, v) with m = u*d*v, u and v unimodular,
-    d diagonal with a non-negative divisibility chain."""
-    if m.rows == 0 or m.cols == 0:
-        return (
-            ExactMatrix.identity(m.rows),
-            ExactMatrix.zeros(m.rows, m.cols),
-            ExactMatrix.identity(m.cols),
-        )
-    u, d, v = _kernel.snf_decompose(m.row_lists())
-    return (
-        ExactMatrix.from_rows(u, cols=m.rows),
-        ExactMatrix.from_rows(d, cols=m.cols),
-        ExactMatrix.from_rows(v, cols=m.cols),
-    )
 
 
 def snf_diagonal(m):
@@ -456,8 +434,7 @@ def snf_diagonal(m):
     if rows:
         # the residual block without unit entries, empty rows and columns dropped
         cols = [j for j, used in enumerate(in_col) if used]
-        _, d, _ = _kernel.snf_decompose([[row.get(j, 0) for j in cols] for row in rows.values()])
-        out.extend(d[t][t] for t in range(min(len(rows), len(cols))) if d[t][t])
+        out.extend(_kernel.snf_decompose([[row.get(j, 0) for j in cols] for row in rows.values()]))
     return out
 
 
@@ -497,31 +474,6 @@ def preimage_module(map_matrix, target_basis, coeff):
     ker = kernel_basis(block, coeff)
     xpart = ExactMatrix(s, ker.cols, ker.data[:s])
     return canonical_basis(xpart, coeff)
-
-
-def det_int(m):
-    """Determinant of a square integer matrix (fraction-free Bareiss)."""
-    if m.rows != m.cols:
-        raise ValueError("determinant needs a square matrix")
-    n = m.rows
-    if n == 0:
-        return 1
-    a = m.row_lists()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if not a[k][k]:
-            piv = next((i for i in range(k + 1, n) if a[i][k]), -1)
-            if piv < 0:
-                return 0
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 def unit_column(n, i):

@@ -201,6 +201,18 @@ def preimage_members_in_box(map_matrix, target_basis, coeff, radius):
     return out
 
 
+def is_prime_oracle(n):
+    """Primality by trial division."""
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
 def random_int_matrix(rng, rows, cols, lo=-4, hi=4):
     return ExactMatrix(rows, cols, [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)])
 
@@ -276,14 +288,202 @@ def greedy_homology_representatives(scc, n):
 
 
 # ---------------------------------------------------------------------------
-# dense integer SNF, dense column solves and the transform-based field kernel
+# dense integer SNF with transforms, determinants, dense column solves and
+# the transform-based field kernel
+
+
+def _row_submul(target, source, q, start):
+    for j in range(start, len(target)):
+        s = source[j]
+        if s:
+            target[j] -= q * s
+
+
+def snf_transform_rows(mat):
+    """Smith normal form with transforms: returns (u, d, v) with mat = u*d*v.
+
+    u (m x m) and v (n x n) are unimodular; d is diagonal with non-negative
+    entries, each dividing the next.
+    """
+    m = len(mat)
+    n = len(mat[0]) if m else 0
+    d = [list(row) for row in mat]
+    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    t = 0
+    limit = m if m < n else n
+    while t < limit:
+        piv_i = -1
+        piv_j = -1
+        best = 0
+        for i in range(t, m):
+            di = d[i]
+            for j in range(t, n):
+                a = di[j]
+                if a:
+                    if a < 0:
+                        a = -a
+                    if piv_i < 0 or a < best:
+                        piv_i = i
+                        piv_j = j
+                        best = a
+        if piv_i < 0:
+            break
+        if piv_i != t:
+            d[t], d[piv_i] = d[piv_i], d[t]
+            for row in u:
+                row[t], row[piv_i] = row[piv_i], row[t]
+        if piv_j != t:
+            for row in d:
+                row[t], row[piv_j] = row[piv_j], row[t]
+            v[t], v[piv_j] = v[piv_j], v[t]
+        while True:
+            # clear column t below the pivot
+            a = d[t][t]
+            dirty = False
+            for i in range(t + 1, m):
+                b = d[i][t]
+                if b:
+                    q = b // a
+                    if q:
+                        _row_submul(d[i], d[t], q, t)
+                        for jj in range(m):
+                            u[jj][t] += q * u[jj][i]
+                    if d[i][t]:
+                        dirty = True
+            if dirty:
+                _move_min_to_pivot(d, u, v, t, m, n)
+                continue
+            # clear row t to the right of the pivot
+            a = d[t][t]
+            for j in range(t + 1, n):
+                b = d[t][j]
+                if b:
+                    q = b // a
+                    if q:
+                        for i in range(t, m):
+                            d[i][j] -= q * d[i][t]
+                        _row_addmul(v[t], v[j], q)
+                    if d[t][j]:
+                        dirty = True
+            if dirty:
+                _move_min_to_pivot(d, u, v, t, m, n)
+                continue
+            # divisibility: pivot must divide every remaining entry
+            a = d[t][t]
+            bad_i = -1
+            for i in range(t + 1, m):
+                di = d[i]
+                for j in range(t + 1, n):
+                    if di[j] % a:
+                        bad_i = i
+                        break
+                if bad_i >= 0:
+                    break
+            if bad_i < 0:
+                break
+            # fold the offending row into row t and restart elimination
+            _row_addmul_int(d[t], d[bad_i], 1, t)
+            for jj in range(m):
+                u[jj][bad_i] -= u[jj][t]
+        if d[t][t] < 0:
+            row = d[t]
+            for j in range(t, n):
+                row[j] = -row[j]
+            for jj in range(m):
+                u[jj][t] = -u[jj][t]
+        t += 1
+    return u, d, v
+
+
+def _move_min_to_pivot(d, u, v, t, m, n):
+    piv_i = -1
+    piv_j = -1
+    best = 0
+    for i in range(t, m):
+        di = d[i]
+        for j in range(t, n):
+            a = di[j]
+            if a:
+                if a < 0:
+                    a = -a
+                if piv_i < 0 or a < best:
+                    piv_i = i
+                    piv_j = j
+                    best = a
+    if piv_i < 0:
+        return
+    if piv_i != t:
+        d[t], d[piv_i] = d[piv_i], d[t]
+        for row in u:
+            row[t], row[piv_i] = row[piv_i], row[t]
+    if piv_j != t:
+        for row in d:
+            row[t], row[piv_j] = row[piv_j], row[t]
+        v[t], v[piv_j] = v[piv_j], v[t]
+
+
+def _row_addmul(target, source, q):
+    for j in range(len(target)):
+        s = source[j]
+        if s:
+            target[j] += q * s
+
+
+def _row_addmul_int(target, source, q, start):
+    for j in range(start, len(target)):
+        s = source[j]
+        if s:
+            target[j] += q * s
+
+
+def snf_transform(m):
+    """Smith normal form over Z: (u, d, v) with m = u*d*v, u and v unimodular,
+    d diagonal with a non-negative divisibility chain."""
+    if m.rows == 0 or m.cols == 0:
+        return (
+            ExactMatrix.identity(m.rows),
+            ExactMatrix.zeros(m.rows, m.cols),
+            ExactMatrix.identity(m.cols),
+        )
+    u, d, v = snf_transform_rows(m.row_lists())
+    return (
+        ExactMatrix.from_rows(u, cols=m.rows),
+        ExactMatrix.from_rows(d, cols=m.cols),
+        ExactMatrix.from_rows(v, cols=m.cols),
+    )
+
+
+def det_int(m):
+    """Determinant of a square integer matrix (fraction-free Bareiss)."""
+    if m.rows != m.cols:
+        raise ValueError("determinant needs a square matrix")
+    n = m.rows
+    if n == 0:
+        return 1
+    a = m.row_lists()
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            piv = next((i for i in range(k + 1, n) if a[i][k]), -1)
+            if piv < 0:
+                return 0
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
 
 
 def snf_diagonal_oracle(m):
-    """Non-zero SNF diagonal from the dense kernel SNF of the whole matrix."""
+    """Non-zero SNF diagonal from the dense transform SNF of the whole matrix."""
     if m.rows == 0 or m.cols == 0:
         return []
-    _, d, _ = _kernel.snf_decompose(m.row_lists())
+    _, d, _ = snf_transform_rows(m.row_lists())
     return [d[t][t] for t in range(min(m.rows, m.cols)) if d[t][t]]
 
 

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import random
+import time
 import warnings
 from fractions import Fraction
 
@@ -160,6 +161,22 @@ def test_homology_single_vertex_all_coeffs(tmp_path, capsys):
         code, out, err = _run(capsys, ["homology", path, "--coeff", coeff])
         assert code == 0
         assert _result(out)["betti"] == [1]
+
+
+def test_homology_large_prime_moduli(tmp_path, capsys):
+    path = _write(tmp_path, "h6.json", SECTION6_DOC)
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["homology", path, "--coeff", "zp:1000000000000000003"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and err == ""
+    assert json.loads(out)["coefficients"] == "Z/1000000000000000003"
+    assert _result(out)["betti"] == [2, 1, 0]
+    code, out, err = _run(capsys, ["homology", path, "--coeff", "zp:1000000000000000001"])
+    assert (code, out) == (3, "")
+    assert err == "invalid document: prime field needs a prime modulus, got 1000000000000000001\n"
+    code, out, err = _run(capsys, ["homology", path, "--coeff", "zp:%d" % (2**64 + 13)])
+    assert (code, out) == (3, "")
+    assert err == "invalid document: prime field modulus must be below 2**64, got %d\n" % (2**64 + 13)
 
 
 def test_homology_inf_sup_bases(tmp_path, capsys):

@@ -3,12 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from hypermorse.coeffs import CoeffSpec, Q, Z, prime_field
+from hypermorse.coeffs import CoeffSpec, Q, Z, _is_prime, prime_field
 from hypermorse.exact import (
     ColumnSolver,
     ExactMatrix,
     canonical_basis,
-    det_int,
     hermite_basis,
     kernel_basis,
     matmul,
@@ -17,9 +16,7 @@ from hypermorse.exact import (
     normalize,
     preimage_module,
     rank,
-    snf,
     snf_diagonal,
-    solve_columns,
 )
 
 import oracles
@@ -38,6 +35,28 @@ def test_coeffspec_validation():
     assert Q.normalize(2) == Fraction(2)
     with pytest.raises(ValueError):
         Z.normalize(Fraction(1, 2))
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(10**5) if _is_prime(n)] == [
+        n for n in range(10**5) if oracles.is_prime_oracle(n)
+    ]
+
+
+def test_pseudoprimes_rejected_as_moduli():
+    # Carmichael numbers 561 and 41041, strong pseudoprimes 2047 (base 2)
+    # and 3215031751 (bases 2, 3, 5, 7)
+    for n in (561, 41041, 2047, 3215031751):
+        assert not _is_prime(n)
+        with pytest.raises(ValueError, match="prime modulus"):
+            prime_field(n)
+
+
+def test_moduli_from_2_64_refused():
+    assert prime_field(2**64 - 59).p == 2**64 - 59  # the largest prime below 2**64
+    for n in (2**64, 2**64 + 13, 2**89 - 1):
+        with pytest.raises(ValueError, match="below 2\\*\\*64"):
+            prime_field(n)
 
 
 def test_normalize_types():
@@ -93,7 +112,7 @@ def test_hermite_lattice_example_with_membership_oracle():
     m = ExactMatrix.from_columns([(2, 0), (0, 2), (1, 1)], 2)
     basis = hermite_basis(m)
     assert basis.cols == 2
-    assert abs(det_int(basis)) == 2
+    assert abs(oracles.det_int(basis)) == 2
     got = oracles.lattice_members_in_box(basis, Z, 3)
     expected = {
         (a * 2 + c, b * 2 + c)
@@ -110,12 +129,12 @@ def test_snf_correctness_random():
     for _ in range(80):
         r, c = rng.randint(0, 6), rng.randint(0, 6)
         m = oracles.random_int_matrix(rng, r, c, -7, 7)
-        u, d, v = snf(m)
+        u, d, v = oracles.snf_transform(m)
         assert matmul(matmul(u, d, Z), v, Z) == m
         if r:
-            assert abs(det_int(u)) == 1
+            assert abs(oracles.det_int(u)) == 1
         if c:
-            assert abs(det_int(v)) == 1
+            assert abs(oracles.det_int(v)) == 1
         diag = [d.data[i][i] for i in range(min(r, c))]
         nz = [x for x in diag if x]
         assert all(x > 0 for x in nz)
@@ -136,7 +155,7 @@ def test_solve_columns_constructed_instances():
                 coeff.normalize(sum(m.data[i][k] * x[k] for k in range(c)))
                 for i in range(r)
             ]
-            sol = solve_columns(m, b, coeff)
+            sol = ColumnSolver(m, coeff).solve(b)
             assert sol is not None
             back = [
                 coeff.normalize(sum(m.data[i][k] * sol[k] for k in range(c)))
@@ -147,10 +166,10 @@ def test_solve_columns_constructed_instances():
 
 def test_solve_columns_unsolvable():
     two = ExactMatrix.from_columns([(2,)], 1)
-    assert solve_columns(two, [1], Z) is None
-    assert solve_columns(two, [1], Q) == [Fraction(1, 2)]
+    assert ColumnSolver(two, Z).solve([1]) is None
+    assert ColumnSolver(two, Q).solve([1]) == [Fraction(1, 2)]
     m = ExactMatrix.from_columns([(1, 0)], 2)
-    assert solve_columns(m, [0, 1], Q) is None
+    assert ColumnSolver(m, Q).solve([0, 1]) is None
 
 
 def test_kernel_basis_random():
