@@ -433,10 +433,12 @@ def _cmd_map(args, out):
     result = {"valid": True}
     kinds = ["lower", "embedded", "assoc"] if args.induced == "all" else [args.induced]
     induced = {}
-    src_delta = hypercore.delta_closure(phi.source)
-    dst_delta = hypercore.delta_closure(phi.target)
+    # one object per document: the diagram check reuses the complexes, bases
+    # and induced matrices built for the maps
+    maps = morphisms._InducedMaps(phi, coeff)
+    src_delta, dst_delta = maps.deltas
     for kind in kinds:
-        hm = morphisms.induced_homology_map(phi, kind, coeff)
+        hm = maps.homology_map(kind)
         induced[kind] = {
             "degrees": {
                 str(n): {
@@ -457,7 +459,7 @@ def _cmd_map(args, out):
         }
     result["induced"] = induced
     if args.check_diagram:
-        commutes, failing = morphisms.check_commuting_diagram(phi, coeff)
+        commutes, failing = maps.diagram()
         result["diagram_commutes"] = commutes
         result["failing_square"] = list(failing) if failing else None
     return _report("map", raw, coeff, result, [], args.timestamp)

@@ -49,6 +49,9 @@ class CoeffSpec:
         if self.kind not in ("Z", "Q", "Zp"):
             raise ValueError("unknown coefficient kind %r" % (self.kind,))
         if self.kind == "Zp":
+            # a float or bool modulus would let inexact values into Z/p
+            if self.p is not None and type(self.p) is not int:
+                raise ValueError("prime field modulus must be an int, got %r" % (self.p,))
             if self.p is not None and self.p >= _MAX_MODULUS:
                 raise ValueError("prime field modulus must be below 2**64, got %r" % (self.p,))
             if self.p is None or not _is_prime(self.p):
@@ -82,26 +85,27 @@ class CoeffSpec:
         raise ValueError("unsupported coefficient spec %r" % (text,))
 
     def normalize(self, x):
-        """Coerce a scalar into the canonical representation for this ring."""
+        """Coerce a scalar into the canonical representation for this ring.
+
+        Every scalar other than an int is read as an exact Fraction first, so
+        2.5 is 5/2 (not an integer) and never truncates to 2."""
         if type(x) is int:
             # fast path: exact ints skip the (slow, ABC-based) Fraction check
             if self.kind == "Z":
                 return x
             if self.kind == "Zp":
                 return x % self.p
+        if not isinstance(x, Fraction):
+            x = Fraction(x)
         if self.kind == "Z":
-            if isinstance(x, Fraction):
-                if x.denominator != 1:
-                    raise ValueError("%r is not an integer" % (x,))
-                return x.numerator
-            return int(x)
+            if x.denominator != 1:
+                raise ValueError("%r is not an integer" % (x,))
+            return x.numerator
         if self.kind == "Q":
-            return Fraction(x)
-        if isinstance(x, Fraction):
-            if x.denominator % self.p == 0:
-                raise ZeroDivisionError("denominator divisible by %d" % self.p)
-            return x.numerator * pow(x.denominator, self.p - 2, self.p) % self.p
-        return int(x) % self.p
+            return x
+        if x.denominator % self.p == 0:
+            raise ZeroDivisionError("denominator divisible by %d" % self.p)
+        return x.numerator * pow(x.denominator, self.p - 2, self.p) % self.p
 
 
 Z = CoeffSpec("Z")

@@ -371,7 +371,7 @@ class ColumnSolver:
 
 def rank(m, coeff):
     if coeff.kind == "Z":
-        return len(_rref_rows(m.row_lists(), CoeffSpec("Q")))
+        return len(snf_diagonal(m))
     return len(_rref_rows(m.row_lists(), coeff))
 
 

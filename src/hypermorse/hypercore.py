@@ -233,9 +233,8 @@ class SimplicialComplex(Hypergraph):
         return self
 
 
-def dimension(edge):
-    """Dimension of a hyperedge: one less than its number of vertices."""
-    return edge_dimension(edge)
+# the public name of edge_dimension
+dimension = edge_dimension
 
 
 def power_complex(vertex_set, edge):

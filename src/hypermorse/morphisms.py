@@ -6,6 +6,12 @@ associated and between the lower-associated complexes, chain maps with the
 usual degenerate-image and orientation-sign conventions, and homomorphisms
 between the three homology groups fitting in a commuting diagram with the
 inclusion-induced maps.  Induced maps are computed over field coefficients.
+
+One private object per morphism and field holds the diagram's pieces: ΔH of
+both sides, the chain map of the assoc simplicial map, and for each side and
+kind (lower, embedded, assoc) the sub-chain complex of ΔH and its homology
+basis.  Each piece is built once, on first use, so the induced maps and the
+diagram check of one call share them.
 """
 
 from __future__ import annotations
@@ -77,9 +83,12 @@ class SimplicialMap:
         return tuple(sorted({self.vertex_map[i] for i in simplex}))
 
 
-def _as_simplicial_map(phi, source_complex, target_complex):
-    imap = tuple(phi.index_map())
-    sm = SimplicialMap(source_complex, target_complex, imap)
+def _as_simplicial_map(phi, complex_of):
+    ok, bad = validate_morphism(phi)
+    if not ok:
+        raise MorphismError("not a morphism: edge %r has no image" % (bad,), bad)
+    source_complex, target_complex = complex_of(phi.source), complex_of(phi.target)
+    sm = SimplicialMap(source_complex, target_complex, tuple(phi.index_map()))
     for simplex in source_complex.edges:
         if not target_complex.contains_edge(sm.image_simplex(simplex)):
             raise InternalConsistencyError(
@@ -90,22 +99,12 @@ def _as_simplicial_map(phi, source_complex, target_complex):
 
 def induced_assoc_map(phi):
     """The simplicial map between the associated complexes."""
-    ok, bad = validate_morphism(phi)
-    if not ok:
-        raise MorphismError("not a morphism: edge %r has no image" % (bad,), bad)
-    return _as_simplicial_map(
-        phi, hypercore.delta_closure(phi.source), hypercore.delta_closure(phi.target)
-    )
+    return _as_simplicial_map(phi, hypercore.delta_closure)
 
 
 def induced_lower_map(phi):
     """The simplicial map between the lower-associated complexes."""
-    ok, bad = validate_morphism(phi)
-    if not ok:
-        raise MorphismError("not a morphism: edge %r has no image" % (bad,), bad)
-    return _as_simplicial_map(
-        phi, hypercore.lower_complex(phi.source), hypercore.lower_complex(phi.target)
-    )
+    return _as_simplicial_map(phi, hypercore.lower_complex)
 
 
 def _permutation_sign(seq):
@@ -164,29 +163,101 @@ class HomologyMap:
         return tuple(m.rows for m in self.matrices)
 
 
-def _chain_dicts(scc, hb, n):
-    edges = scc.ambient_basis.degree(n)
+def _chain_dicts(hb, n):
+    edges = hb.scc.ambient_basis.degree(n)
     out = []
     for vec in hb.representatives_ambient(n):
         out.append({edges[i]: vec[i] for i in range(len(edges)) if vec[i]})
     return out
 
 
-def _paired_objects(phi, which, coeff):
-    if which == "assoc":
-        src = chains.full_complex(hypercore.delta_closure(phi.source), coeff)
-        dst = chains.full_complex(hypercore.delta_closure(phi.target), coeff)
-    elif which == "lower":
-        src_delta = hypercore.delta_closure(phi.source)
-        dst_delta = hypercore.delta_closure(phi.target)
-        src = chains.coordinate_subcomplex(src_delta, hypercore.lower_complex(phi.source), coeff)
-        dst = chains.coordinate_subcomplex(dst_delta, hypercore.lower_complex(phi.target), coeff)
-    elif which == "embedded":
-        src = chains.inf_complex(phi.source, coeff)
-        dst = chains.inf_complex(phi.target, coeff)
-    else:
-        raise ValueError("unknown induced-map kind %r" % (which,))
-    return src, dst
+_KINDS = ("lower", "embedded", "assoc")
+# the two squares of the diagram, each as (name, lower kind, upper kind)
+_SQUARES = (("lower-embedded", "lower", "embedded"), ("embedded-assoc", "embedded", "assoc"))
+
+
+class _InducedMaps:
+    """The objects of one morphism's diagram over one field, each built once.
+
+    Constructing it checks the field and the morphism (through the assoc
+    simplicial map, which also gives ΔH of both sides).  The chain map of the
+    assoc map, the sub-chain complex and homology basis of each side and
+    kind, and the induced matrices of each kind are built on first use.
+    Every sub-chain complex lives in ΔH of its own side, so one chain map of
+    the ΔH serves all three kinds.
+    """
+
+    def __init__(self, phi, coeff):
+        if not coeff.is_field:
+            raise ValueError("induced homology maps need field coefficients")
+        self.coeff = coeff
+        self.hypergraphs = (phi.source, phi.target)
+        self.assoc_map = induced_assoc_map(phi)
+        self.deltas = (self.assoc_map.source, self.assoc_map.target)
+        self.top = max(self.deltas[0].max_dimension(), self.deltas[1].max_dimension())
+        self._chain_map = None
+        self._bases = {}
+        self._matrices = {}
+
+    def basis(self, side, kind):
+        """HomologyBasis of the kind's sub-chain complex; side 0 is the
+        source, 1 the target."""
+        key = (side, kind)
+        if key not in self._bases:
+            h, delta = self.hypergraphs[side], self.deltas[side]
+            if kind == "lower":
+                scc = chains.coordinate_subcomplex(delta, hypercore.lower_complex(h), self.coeff)
+            elif kind == "embedded":
+                scc = chains.inf_complex(h, self.coeff, delta)
+            else:
+                scc = chains.full_complex(delta, self.coeff)
+            self._bases[key] = HomologyBasis(scc)
+        return self._bases[key]
+
+    def matrices(self, kind):
+        """Per-degree matrices of the induced homology map of one kind."""
+        if kind not in _KINDS:
+            raise ValueError("unknown induced-map kind %r" % (kind,))
+        if kind not in self._matrices:
+            if self._chain_map is None:
+                self._chain_map = chain_map(self.assoc_map, self.coeff)
+            self._matrices[kind] = tuple(
+                chains.induced_on_homology(
+                    self.basis(0, kind), self.basis(1, kind), self._chain_map, top=self.top
+                )
+            )
+        return self._matrices[kind]
+
+    def homology_map(self, kind):
+        mats = self.matrices(kind)
+        src, dst = self.basis(0, kind), self.basis(1, kind)
+        return HomologyMap(
+            kind,
+            self.coeff,
+            mats,
+            tuple(tuple(_chain_dicts(src, n)) for n in range(self.top + 1)),
+            tuple(tuple(_chain_dicts(dst, n)) for n in range(self.top + 1)),
+        )
+
+    def diagram(self):
+        """(True, None) when both squares commute, else (False, (square,
+        degree)) for the first failure, by degree and then square."""
+        coeff = self.coeff
+        maps = {kind: self.matrices(kind) for kind in _KINDS}
+        incl = {
+            (side, lo): chains.induced_on_homology(
+                self.basis(side, lo), self.basis(side, hi), None, top=self.top
+            )
+            for side in (0, 1)
+            for _, lo, hi in _SQUARES
+        }
+        for n in range(self.top + 1):
+            for name, lo, hi in _SQUARES:
+                left = exact.matmul(incl[1, lo][n], maps[lo][n], coeff)
+                right = exact.matmul(maps[hi][n], incl[0, lo][n], coeff)
+                if left != right:
+                    return (False, (name, n))
+        return (True, None)
 
 
 def induced_homology_map(phi, which, coeff=Q):
@@ -195,42 +266,7 @@ def induced_homology_map(phi, which, coeff=Q):
     The embedded case restricts the associated-complex chain map to the
     infimum complexes; that the image stays inside the target infimum complex
     is verified at runtime."""
-    if not coeff.is_field:
-        raise ValueError("induced homology maps need field coefficients")
-    ok, bad = validate_morphism(phi)
-    if not ok:
-        raise MorphismError("not a morphism: edge %r has no image" % (bad,), bad)
-    sm = induced_assoc_map(phi)
-    ambient_mats = chain_map(sm, coeff)
-    src, dst = _paired_objects(phi, which, coeff)
-    padded = _pad_chain_map(ambient_mats, src, dst)
-    src_hb = HomologyBasis(src)
-    dst_hb = HomologyBasis(dst)
-    top = max(src.top, dst.top, -1)
-    mats = chains.induced_on_homology(src_hb, dst_hb, padded, top=top)
-    return HomologyMap(
-        which,
-        coeff,
-        tuple(mats),
-        tuple(tuple(_chain_dicts(src, src_hb, n)) for n in range(top + 1)),
-        tuple(tuple(_chain_dicts(dst, dst_hb, n)) for n in range(top + 1)),
-    )
-
-
-def _pad_chain_map(ambient_mats, src, dst):
-    """Extend chain-map matrices with zero blocks so every degree of the
-    source ambient has a matrix into the target ambient."""
-    out = []
-    for n in range(src.top + 1):
-        dom = len(src.ambient_basis.degree(n))
-        cod = len(dst.ambient_basis.degree(n))
-        if n < len(ambient_mats):
-            m = ambient_mats[n]
-            if m.rows == cod and m.cols == dom:
-                out.append(m)
-                continue
-        out.append(ExactMatrix.zeros(cod, dom))
-    return out
+    return _InducedMaps(phi, coeff).homology_map(which)
 
 
 def check_commuting_diagram(phi, coeff=Q):
@@ -238,50 +274,4 @@ def check_commuting_diagram(phi, coeff=Q):
     maps on homology; returns (True, None) or (False, (square, degree))."""
     if not coeff.is_field:
         raise ValueError("the diagram check needs field coefficients")
-    ok, bad = validate_morphism(phi)
-    if not ok:
-        raise MorphismError("not a morphism: edge %r has no image" % (bad,), bad)
-    sm = induced_assoc_map(phi)
-    ambient_mats = chain_map(sm, coeff)
-
-    def objects(h):
-        delta = hypercore.delta_closure(h)
-        lower = chains.coordinate_subcomplex(delta, hypercore.lower_complex(h), coeff)
-        inf = chains.inf_complex(h, coeff, delta)
-        full = chains.full_complex(delta, coeff)
-        return lower, inf, full
-
-    s_lower, s_inf, s_full = objects(phi.source)
-    t_lower, t_inf, t_full = objects(phi.target)
-    hb = {
-        "s_lower": HomologyBasis(s_lower),
-        "s_inf": HomologyBasis(s_inf),
-        "s_full": HomologyBasis(s_full),
-        "t_lower": HomologyBasis(t_lower),
-        "t_inf": HomologyBasis(t_inf),
-        "t_full": HomologyBasis(t_full),
-    }
-    top = max(s_full.top, t_full.top, -1)
-    incl_src_lo = chains.induced_on_homology(hb["s_lower"], hb["s_inf"], None, top=top)
-    incl_src_hi = chains.induced_on_homology(hb["s_inf"], hb["s_full"], None, top=top)
-    incl_dst_lo = chains.induced_on_homology(hb["t_lower"], hb["t_inf"], None, top=top)
-    incl_dst_hi = chains.induced_on_homology(hb["t_inf"], hb["t_full"], None, top=top)
-    map_lower = chains.induced_on_homology(
-        hb["s_lower"], hb["t_lower"], _pad_chain_map(ambient_mats, s_lower, t_lower), top=top
-    )
-    map_embedded = chains.induced_on_homology(
-        hb["s_inf"], hb["t_inf"], _pad_chain_map(ambient_mats, s_inf, t_inf), top=top
-    )
-    map_assoc = chains.induced_on_homology(
-        hb["s_full"], hb["t_full"], _pad_chain_map(ambient_mats, s_full, t_full), top=top
-    )
-    for n in range(top + 1):
-        left = exact.matmul(incl_dst_lo[n], map_lower[n], coeff)
-        right = exact.matmul(map_embedded[n], incl_src_lo[n], coeff)
-        if left != right:
-            return (False, ("lower-embedded", n))
-        left = exact.matmul(incl_dst_hi[n], map_embedded[n], coeff)
-        right = exact.matmul(map_assoc[n], incl_src_hi[n], coeff)
-        if left != right:
-            return (False, ("embedded-assoc", n))
-    return (True, None)
+    return _InducedMaps(phi, coeff).diagram()

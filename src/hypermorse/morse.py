@@ -169,7 +169,7 @@ class GradientField:
         canon = set()
         for a, b in pairs:
             a, b = tuple(a), tuple(b)
-            if len(b) != len(a) + 1 or incidence_nonzero(b, a) == 0:
+            if len(b) != len(a) + 1 or chains.incidence(b, a) == 0:
                 raise ValueError("pair %r < %r is not a codimension-1 face pair" % (a, b))
             if not (host.contains_edge(a) and host.contains_edge(b)):
                 raise ValueError("pair %r < %r uses edges outside the host" % (a, b))
@@ -189,10 +189,6 @@ class GradientField:
 
     def __repr__(self):
         return "GradientField(%d pairs)" % len(self.pairs)
-
-
-def incidence_nonzero(beta, alpha):
-    return chains.incidence(beta, alpha)
 
 
 def gradient(f):

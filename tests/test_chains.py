@@ -286,6 +286,44 @@ def test_embedded_cross_check_on_torsion_carrying_hypergraphs():
         embedded_homology(h, Z)
 
 
+def test_embedded_betti_over_q_equal_free_rank_over_z():
+    # Inf over Z is a free sub-complex, and H(C ⊗ Q) = H(C) ⊗ Q for free C
+    rng = random.Random(91)
+    for _ in range(300):
+        h = generators.random_hypergraph(rng, 7, 14)
+        assert embedded_homology(h, Q).betti == embedded_homology(h, Z).betti
+
+
+def _universal_coefficient_betti(over_z, p):
+    """dim H_n(K; Z/p) = b_n + #(p | t in T_n) + #(p | t in T_{n-1}) for the
+    integral groups (b_n, T_n) of K."""
+    out = []
+    for n, (betti, torsion) in enumerate(over_z.groups):
+        below = over_z.group(n - 1)[1] if n else ()
+        out.append(betti + sum(t % p == 0 for t in torsion) + sum(t % p == 0 for t in below))
+    return tuple(out)
+
+
+def test_simplicial_homology_mod_p_follows_universal_coefficients():
+    # RP^2 carries Z/2 torsion in degree 1: mod 2 it adds a class in degrees
+    # 1 and 2, mod 3 it vanishes; the random complexes are mostly torsion-free
+    rng = random.Random(92)
+    rp2 = delta_closure(_rp2_hypergraph())
+    # RP^2 less one triangle is a Möbius band: no torsion left
+    mobius = Hypergraph(rp2.vertex_set, [e for e in rp2.edges if e != (0, 1, 4)])
+    complexes = [rp2, delta_closure(mobius)]
+    complexes += [generators.random_simplicial_complex(rng, 7, 12) for _ in range(40)]
+    for k in complexes:
+        over_z = simplicial_homology(k, Z)
+        for p in (2, 3):
+            assert simplicial_homology(k, prime_field(p)).betti == _universal_coefficient_betti(
+                over_z, p
+            )
+    assert _universal_coefficient_betti(simplicial_homology(rp2, Z), 2) == (1, 1, 1)
+    assert _universal_coefficient_betti(simplicial_homology(rp2, Z), 3) == (1, 0, 0)
+    assert simplicial_homology(delta_closure(mobius), Z).groups == ((1, ()), (1, ()), (0, ()))
+
+
 def test_preimage_of_edge_module_section6(h_section6):
     # within the degree-2 hyperedge module, nothing has a boundary landing in
     # the degree-1 hyperedge module

@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import io
 import json
@@ -8,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from hypermorse import cli, hypercore
+from hypermorse import chains, cli, hypercore, morphisms
 from hypermorse.hypercore import delta_closure
 
 import generators
@@ -341,6 +342,50 @@ def test_map_example_226(tmp_path, capsys):
     ass = result["induced"]["assoc"]["degrees"]
     assert ass["0"] == {"matrix": [["1"]], "source_betti": 1, "target_betti": 1}
     assert ass["1"] == {"matrix": [], "source_betti": 1, "target_betti": 0}
+
+
+def test_map_builds_each_diagram_object_once(tmp_path, capsys, monkeypatch):
+    # the induced maps and the diagram check of one document share ΔH of
+    # both sides, one chain map, and a sub-chain complex and homology basis
+    # per side and kind
+    counts = collections.Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        chains.HomologyBasis, "__init__", counting("basis", chains.HomologyBasis.__init__)
+    )
+    monkeypatch.setattr(
+        chains.SubChainComplex, "__init__", counting("subcomplex", chains.SubChainComplex.__init__)
+    )
+    monkeypatch.setattr(morphisms, "chain_map", counting("chain_map", morphisms.chain_map))
+    monkeypatch.setattr(hypercore, "delta_closure", counting("closure", hypercore.delta_closure))
+    morphism = {
+        "source": DOC_226,
+        "target": DOC_226_PRIME,
+        "map": {"v0": "v0", "v1": "v1", "v2": "v2"},
+    }
+    path = _write(tmp_path, "phi.json", morphism)
+    code, out, err = _run(capsys, ["map", path, "--induced", "all", "--check-diagram"])
+    assert code == 0 and _result(out)["diagram_commutes"] is True
+    assert counts == {"basis": 6, "subcomplex": 6, "chain_map": 1, "closure": 2}
+
+
+def test_map_needs_field_coefficients(tmp_path, capsys):
+    morphism = {
+        "source": DOC_226,
+        "target": DOC_226_PRIME,
+        "map": {"v0": "v0", "v1": "v1", "v2": "v2"},
+    }
+    path = _write(tmp_path, "phi.json", morphism)
+    code, out, err = _run(capsys, ["map", path, "--coeff", "z", "--check-diagram"])
+    assert (code, out) == (cli.EXIT_BAD_DOCUMENT, "")
+    assert err == "invalid document: induced homology maps need field coefficients\n"
 
 
 def test_map_source_by_path(tmp_path, capsys):

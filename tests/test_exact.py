@@ -37,6 +37,27 @@ def test_coeffspec_validation():
         Z.normalize(Fraction(1, 2))
 
 
+def test_prime_field_modulus_must_be_an_int():
+    # a float modulus would let float entries into Z/p, and a large one used
+    # to reach the primality test and fail there with a TypeError
+    for p in (7.0, 41.0, True, Fraction(7)):
+        with pytest.raises(ValueError, match="must be an int"):
+            prime_field(p)
+
+
+def test_normalize_reads_non_int_scalars_exactly():
+    # 2.5 is 5/2: not an integer over Z and 5 * 2^-1 = 0 over Z/5, never a
+    # truncation to 2
+    for x in (2.5, Fraction(1, 2)):
+        with pytest.raises(ValueError, match="not an integer"):
+            Z.normalize(x)
+    assert Z5.normalize(2.5) == 0
+    assert Z5.normalize(Fraction(5, 2)) == 0
+    assert prime_field(7).normalize(2.5) == 6
+    assert Z.normalize(4.0) == 4 and type(Z.normalize(4.0)) is int
+    assert Q.normalize(2.5) == Fraction(5, 2)
+
+
 def test_is_prime_matches_trial_division():
     assert [n for n in range(10**5) if _is_prime(n)] == [
         n for n in range(10**5) if oracles.is_prime_oracle(n)
@@ -274,6 +295,20 @@ def test_field_rank_and_prime_field_arithmetic():
     m2 = ExactMatrix.from_rows([[5, 0], [0, 1]])
     assert rank(m2, Q) == 2
     assert rank(m2, Z5) == 1  # 5 vanishes mod 5
+
+
+def test_integer_rank_equals_rational_rank():
+    # the rank over Z is the number of non-zero Smith invariant factors, and
+    # a free Z-module keeps its rank after tensoring with Q
+    rng = random.Random(173)
+    for _ in range(200):
+        m = oracles.random_int_matrix(rng, rng.randint(0, 7), rng.randint(0, 7))
+        if m.rows > 2 and rng.random() < 0.4:
+            # a dependent last row keeps the rank below full
+            data = [list(r) for r in m.data]
+            data[-1] = [2 * x - 3 * y for x, y in zip(data[0], data[1])]
+            m = ExactMatrix.from_rows(data)
+        assert rank(m, Z) == rank(m, Q)
 
 
 def test_column_solver_reuse():

@@ -129,8 +129,34 @@ def test_induced_homology_identity(h_section6):
 
 
 def test_induced_homology_rejects_integer_coefficients(h_226, hp_226):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^induced homology maps need field coefficients$"):
         induced_homology_map(_inclusion(h_226, hp_226), "embedded", Z)
+
+
+def test_diagram_check_rejects_integer_coefficients(h_226, hp_226):
+    with pytest.raises(ValueError, match="^the diagram check needs field coefficients$"):
+        check_commuting_diagram(_inclusion(h_226, hp_226), Z)
+
+
+def test_induced_homology_rejects_unknown_kind(h_226, hp_226):
+    with pytest.raises(ValueError, match="unknown induced-map kind 'bogus'"):
+        induced_homology_map(_inclusion(h_226, hp_226), "bogus", Q)
+
+
+def test_non_morphism_rejected_by_induced_maps_and_diagram():
+    # the field is checked first, then the morphism, then the kind
+    src = Hypergraph.from_labels(["v0", "v1"], [["v0", "v1"]])
+    dst = Hypergraph.from_labels(["u"], [])
+    phi = HypergraphMorphism(src, dst, {"v0": "u", "v1": "u"})
+    for which in ("lower", "embedded", "assoc", "bogus"):
+        with pytest.raises(MorphismError, match="not a morphism"):
+            induced_homology_map(phi, which, Q)
+    with pytest.raises(MorphismError, match="not a morphism"):
+        check_commuting_diagram(phi, prime_field(3))
+    with pytest.raises(ValueError, match="field coefficients"):
+        induced_homology_map(phi, "embedded", Z)
+    with pytest.raises(ValueError, match="field coefficients"):
+        check_commuting_diagram(phi, Z)
 
 
 def test_induced_homology_prime_field(h_226, hp_226):
