@@ -1,85 +1,148 @@
 """Exact integer elimination kernels.
 
-These are the integer inner loops of the package: canonical row Hermite
-normal form, with and without a recorded unimodular transform, and the
-Smith invariant factors.  exact.snf_diagonal cancels unit pivots sparsely
-and hands only the block left without unit entries to snf_decompose, so
-the Smith form here carries no transforms.  Matrices are lists of
-equal-length lists of Python ints; arbitrary precision is relied upon
-throughout, there is no floating point.  No function mutates its input.
+These are the inner loops of the package: the row operation on sparse rows,
+canonical row Hermite normal form on sparse rows, with and without a recorded
+unimodular transform, and the Smith invariant factors of a dense block.
+A sparse row is a {column: value} dict of its non-zeros.  exact.snf_diagonal
+cancels unit pivots sparsely and hands only the block left without unit
+entries to snf_decompose, so the Smith form here carries no transforms.
+hnf_rows, hnf_rows_with_transform and snf_decompose take and return lists of
+equal-length lists of Python ints and never mutate their input; the library
+calls hnf_sparse on its sparse rows directly.  Arbitrary precision is relied
+upon throughout, there is no floating point.
 
 Pivoting follows the fraction-free, minimal-absolute-value strategy: at desk
 scale this keeps intermediate entries small without sacrificing exactness.
 """
 
 
-def _row_submul(target, source, q, start):
-    for j in range(start, len(target)):
-        s = source[j]
-        if s:
-            target[j] -= q * s
+def submul(target, source, q, p=0, col=None, i=0):
+    """target -= q * source on sparse rows, reduced mod p when p is non-zero.
+
+    When col is given it maps each column to the set of rows with a non-zero
+    there, and the membership of row i (the target) is kept up to date.
+    """
+    for j, s in source.items():
+        t = target.get(j)
+        if t is None:
+            t = -q * s
+            if p:
+                t %= p
+            if t:
+                target[j] = t
+                if col is not None:
+                    col[j].add(i)
+        else:
+            t -= q * s
+            if p:
+                t %= p
+            if t:
+                target[j] = t
+            else:
+                del target[j]
+                if col is not None:
+                    col[j].discard(i)
 
 
-def _hnf(mat, transform):
-    """Row HNF of mat as (h, u, r): h keeps its zero rows, which follow the
-    r non-zero ones, and u * mat = h.  With transform=False, u is None and
-    is never built."""
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    rows = [list(row) for row in mat]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)] if transform else None
+def swap_rows(rows, col, a, b):
+    """Exchange rows a and b, keeping the column index col in step."""
+    for j in rows[a]:
+        col[j].discard(a)
+    for j in rows[b]:
+        col[j].discard(b)
+    rows[a], rows[b] = rows[b], rows[a]
+    for j in rows[a]:
+        col[j].add(a)
+    for j in rows[b]:
+        col[j].add(b)
+
+
+def column_index(rows):
+    """{column: set of the rows with a non-zero in it} of sparse rows."""
+    col = {}
+    for i, row in enumerate(rows):
+        for j in row:
+            if j in col:
+                col[j].add(i)
+            else:
+                col[j] = {i}
+    return col
+
+
+def hnf_sparse(rows, transform=False):
+    """Row HNF of a list of sparse integer rows, reduced in place.
+
+    Returns (rows, u, r): the first r rows are the non-zero rows of the
+    canonical form and the rest are empty; u (sparse rows, None unless
+    transform) is unimodular with u * input = rows.  Each column is cleared
+    by its entry of least absolute value at or below row r (ties to the
+    lowest row), so the steps, and u, are those of the dense textbook loop.
+    """
+    m = len(rows)
+    u = [{i: 1} for i in range(m)] if transform else None
+    col = column_index(rows)
     r = 0
-    for c in range(n):
+    # row operations only add entries in columns that already hold one, so
+    # the columns with an entry are known up front
+    for c in sorted(col):
         if r == m:
             break
+        here = col[c]
         while True:
             piv = -1
             best = 0
-            for i in range(r, m):
-                a = rows[i][c]
-                if a:
-                    if a < 0:
-                        a = -a
-                    if piv < 0 or a < best:
+            for i in here:
+                if i >= r:
+                    a = abs(rows[i][c])
+                    if piv < 0 or a < best or (a == best and i < piv):
                         piv = i
                         best = a
             if piv < 0:
                 break
             if piv != r:
-                rows[r], rows[piv] = rows[piv], rows[r]
+                swap_rows(rows, col, r, piv)
                 if transform:
                     u[r], u[piv] = u[piv], u[r]
-            a = rows[r][c]
+            prow = rows[r]
+            a = prow[c]
             clean = True
-            for i in range(r + 1, m):
-                b = rows[i][c]
-                if b:
-                    q = b // a
-                    if q:
-                        _row_submul(rows[i], rows[r], q, c)
-                        if transform:
-                            _row_submul(u[i], u[r], q, 0)
-                    if rows[i][c]:
-                        clean = False
+            for i in [i for i in here if i > r]:
+                q = rows[i][c] // a
+                if q:
+                    submul(rows[i], prow, q, 0, col, i)
+                    if transform:
+                        submul(u[i], u[r], q)
+                if c in rows[i]:
+                    clean = False
             if clean:
-                if rows[r][c] < 0:
-                    row = rows[r]
-                    for j in range(c, n):
-                        row[j] = -row[j]
+                if a < 0:
+                    for j in prow:
+                        prow[j] = -prow[j]
                     if transform:
                         urow = u[r]
-                        for j in range(m):
+                        for j in urow:
                             urow[j] = -urow[j]
-                a = rows[r][c]
-                for i in range(r):
+                    a = -a
+                for i in [i for i in here if i < r]:
                     q = rows[i][c] // a
                     if q:
-                        _row_submul(rows[i], rows[r], q, c)
+                        submul(rows[i], prow, q, 0, col, i)
                         if transform:
-                            _row_submul(u[i], u[r], q, 0)
+                            submul(u[i], u[r], q)
                 r += 1
                 break
     return rows, u, r
+
+
+def _sparse(mat):
+    return [{j: x for j, x in enumerate(row) if x} for row in mat]
+
+
+def _dense(row, n):
+    out = [0] * n
+    for j, x in row.items():
+        out[j] = x
+    return out
 
 
 def hnf_rows(mat):
@@ -89,8 +152,9 @@ def hnf_rows(mat):
     above a pivot is reduced into [0, pivot).  Two integer matrices have the
     same row lattice iff their canonical forms are identical.
     """
-    h, _, r = _hnf(mat, False)
-    return h[:r]
+    n = len(mat[0]) if mat else 0
+    h, _, r = hnf_sparse(_sparse(mat))
+    return [_dense(row, n) for row in h[:r]]
 
 
 def hnf_rows_with_transform(mat):
@@ -99,8 +163,16 @@ def hnf_rows_with_transform(mat):
     Returns (h, u) where h keeps its zero rows (so u stays square); the rows
     of u opposite zero rows of h form a basis of the left-kernel lattice.
     """
-    h, u, _ = _hnf(mat, True)
-    return h, u
+    n = len(mat[0]) if mat else 0
+    h, u, _ = hnf_sparse(_sparse(mat), True)
+    return [_dense(row, n) for row in h], [_dense(row, len(mat)) for row in u]
+
+
+def _row_submul(target, source, q, start):
+    for j in range(start, len(target)):
+        s = source[j]
+        if s:
+            target[j] -= q * s
 
 
 def snf_decompose(mat):

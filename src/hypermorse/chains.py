@@ -2,9 +2,13 @@
 
 Everything here works inside the chain complex of an associated simplicial
 complex.  Sub-modules are represented by canonical basis matrices (columns in
-the ambient degree basis), so module equality is matrix equality.  Homology
-over Z uses Smith normal form (Betti numbers and torsion coefficients); over
-Q and Z/p it uses ranks.
+the ambient degree basis), so module equality is matrix equality.  Every
+matrix is built sparse, from its non-zeros: boundary blocks, inclusions,
+placed and merged bases and the restricted boundaries, whose columns are
+solved one non-zero dict at a time.  The boundary matrices of one ΔH are
+built once per call and shared by the sub-chain complexes built on it.
+Homology over Z uses the Smith invariant factors (Betti numbers and torsion
+coefficients); over Q and Z/p it uses ranks.
 """
 
 from __future__ import annotations
@@ -67,17 +71,23 @@ def boundary_matrix(complex_, n, coeff):
     return _boundary_block(complex_.edges_of_dim(n), rows, coeff)
 
 
+def _boundary_matrices(complex_, coeff, top):
+    """∂_1 … ∂_top of a complex, at their degrees (index 0 is unused)."""
+    return (None,) + tuple(boundary_matrix(complex_, n, coeff) for n in range(1, top + 1))
+
+
 def _boundary_block(cols, rows, coeff):
     """The boundary map restricted to the chains on the cells `cols`, read
     only in the coordinates of the cells `rows` (faces outside are dropped)."""
     index = {e: i for i, e in enumerate(rows)}
-    data = [[0] * len(cols) for _ in rows]
+    signs = (coeff.normalize(1), coeff.normalize(-1))
+    entries = [{} for _ in rows]
     for j, e in enumerate(cols):
         for i in range(len(e)):
             r = index.get(e[:i] + e[i + 1 :])
             if r is not None:
-                data[r][j] = coeff.normalize(-1 if i % 2 else 1)
-    return ExactMatrix(len(rows), len(cols), data)
+                entries[r][j] = signs[i % 2]
+    return ExactMatrix.from_sparse(len(rows), len(cols), entries)
 
 
 def _non_hyperedges(h, delta, n):
@@ -87,19 +97,17 @@ def _non_hyperedges(h, delta, n):
 def _place_rows(m, sub_cells, cells):
     """m, whose rows are indexed by sub_cells, with its rows moved to their
     positions among cells (the other rows zero)."""
-    row_of = dict(zip(sub_cells, m.data))
-    zero = (0,) * m.cols
-    return ExactMatrix(len(cells), m.cols, [row_of.get(e, zero) for e in cells])
+    row_of = dict(zip(sub_cells, m.entries))
+    empty = {}
+    return ExactMatrix.from_sparse(len(cells), m.cols, [row_of.get(e, empty) for e in cells], m.zero)
 
 
 def _inclusion_matrix(ambient_edges, sub_edges):
     index = {e: i for i, e in enumerate(ambient_edges)}
-    cols = []
-    for e in sub_edges:
-        col = [0] * len(ambient_edges)
-        col[index[e]] = 1
-        cols.append(col)
-    return ExactMatrix.from_columns(cols, len(ambient_edges))
+    entries = [{}] * len(ambient_edges)
+    for j, e in enumerate(sub_edges):
+        entries[index[e]] = {j: 1}
+    return ExactMatrix.from_sparse(len(ambient_edges), len(sub_edges), entries)
 
 
 class SubChainComplex:
@@ -109,11 +117,13 @@ class SubChainComplex:
     basis; restricted[n] expresses the boundary of each generator in the
     degree-(n-1) generators.  Construction fails with
     MalformedSubcomplexError when a boundary leaves the span below.
+    _boundaries, when given, holds ∂_n of the ambient at index n up to its
+    top degree, shared with other complexes on the same ambient.
     """
 
     __slots__ = ("ambient", "coeff", "ambient_basis", "basis", "restricted", "_solvers")
 
-    def __init__(self, ambient, coeff, basis):
+    def __init__(self, ambient, coeff, basis, _boundaries=None):
         self.ambient = ambient
         self.coeff = coeff
         self.ambient_basis = GradedBasis.of(ambient)
@@ -123,26 +133,26 @@ class SubChainComplex:
             basis.append(ExactMatrix.zeros(len(self.ambient_basis.degree(len(basis))), 0))
         self.basis = tuple(basis)
         self._solvers = [None] * (top + 1)
+        if _boundaries is None:
+            _boundaries = _boundary_matrices(ambient, coeff, top)
+        zero = coeff.normalize(0)
         restricted = []
         for n in range(top + 1):
             if n == 0:
                 restricted.append(ExactMatrix.zeros(0, self.basis[0].cols))
                 continue
-            bnd = boundary_matrix(ambient, n, coeff)
-            image = exact.matmul(bnd, self.basis[n], coeff)
+            image = exact.matmul(_boundaries[n], self.basis[n], coeff)
             solver = self._solver(n - 1)
             cols = []
-            for j, col in enumerate(image.transpose().data):
-                x = solver.solve(col)
+            for j, col in enumerate(image.transpose().entries):
+                x = solver.solve_nonzeros(col)
                 if x is None:
                     raise MalformedSubcomplexError(
                         "boundary of degree-%d generator %d leaves the span below" % (n, j)
                     )
                 cols.append(x)
             restricted.append(
-                ExactMatrix.from_columns(cols, self.basis[n - 1].cols)
-                if cols
-                else ExactMatrix.zeros(self.basis[n - 1].cols, 0)
+                ExactMatrix.from_sparse(len(cols), self.basis[n - 1].cols, cols, zero).transpose()
             )
         self.restricted = tuple(restricted)
 
@@ -173,21 +183,21 @@ class SubChainComplex:
         return exact.matvec(self.basis[n], internal_vector, self.coeff)
 
 
-def full_complex(k, coeff):
+def full_complex(k, coeff, _boundaries=None):
     """C_*(K) of a simplicial complex as a sub-chain complex of itself."""
     k = hypercore.as_simplicial(k)
     basis = [
         ExactMatrix.identity(len(k.edges_of_dim(n))) for n in range(k.max_dimension() + 1)
     ]
-    return SubChainComplex(k, coeff, basis)
+    return SubChainComplex(k, coeff, basis, _boundaries)
 
 
-def coordinate_subcomplex(ambient, sub, coeff):
+def coordinate_subcomplex(ambient, sub, coeff, _boundaries=None):
     """C_*(sub) inside C_*(ambient) for a subcomplex given by its simplices."""
     basis = []
     for n in range(ambient.max_dimension() + 1):
         basis.append(_inclusion_matrix(ambient.edges_of_dim(n), sub.edges_of_dim(n)))
-    return SubChainComplex(ambient, coeff, basis)
+    return SubChainComplex(ambient, coeff, basis, _boundaries)
 
 
 def edge_module_matrix(h, delta, n):
@@ -195,7 +205,7 @@ def edge_module_matrix(h, delta, n):
     return _inclusion_matrix(delta.edges_of_dim(n), h.edges_of_dim(n))
 
 
-def inf_complex(h, coeff=Z, delta=None):
+def inf_complex(h, coeff=Z, delta=None, _boundaries=None):
     """Largest sub-chain complex of C_*(ΔH) contained in the hyperedge modules.
 
     Degree n is the intersection of the degree-n hyperedge module H_n with
@@ -213,10 +223,10 @@ def inf_complex(h, coeff=Z, delta=None):
         outside_below = _non_hyperedges(h, delta, n - 1) if n else ()
         ker = exact.kernel_basis(_boundary_block(inside, outside_below, coeff), coeff)
         basis.append(_place_rows(ker, inside, delta.edges_of_dim(n)))
-    return SubChainComplex(delta, coeff, basis)
+    return SubChainComplex(delta, coeff, basis, _boundaries)
 
 
-def sup_complex(h, coeff=Z, delta=None):
+def sup_complex(h, coeff=Z, delta=None, _boundaries=None):
     """Smallest sub-chain complex of C_*(ΔH) containing the hyperedge modules.
 
     Degree n is H_n + ∂H_{n+1}.  H_n is a coordinate submodule, so this is
@@ -230,16 +240,17 @@ def sup_complex(h, coeff=Z, delta=None):
     basis = []
     for n in range(delta.max_dimension() + 1):
         cells = delta.edges_of_dim(n)
-        outside = _non_hyperedges(h, delta, n)
-        block = _boundary_block(h.edges_of_dim(n + 1), outside, coeff)
-        rest = _place_rows(exact.canonical_basis(block, coeff), outside, cells)
-        units = [
-            exact.unit_column(len(cells), i) for i, e in enumerate(cells) if h.contains_edge(e)
+        at = [i for i, e in enumerate(cells) if not h.contains_edge(e)]
+        block = _boundary_block(h.edges_of_dim(n + 1), [cells[i] for i in at], coeff)
+        # columns as {cell position: value}; the leading row is the least key
+        cols = [
+            {at[i]: x for i, x in col.items()}
+            for col in exact.canonical_basis(block, coeff).transpose().entries
         ]
-        cols = rest.columns() + units
-        cols.sort(key=lambda col: next(i for i, x in enumerate(col) if x))
-        basis.append(ExactMatrix.from_columns(cols, len(cells)))
-    return SubChainComplex(delta, coeff, basis)
+        cols += [{i: 1} for i, e in enumerate(cells) if h.contains_edge(e)]
+        cols.sort(key=min)
+        basis.append(ExactMatrix.from_sparse(len(cols), len(cells), cols).transpose())
+    return SubChainComplex(delta, coeff, basis, _boundaries)
 
 
 @dataclass(frozen=True)
@@ -295,8 +306,9 @@ def embedded_homology(h, coeff=Z):
     """Embedded homology of a hypergraph: homology of the infimum complex,
     cross-checked against the supremum complex (they must agree)."""
     delta = hypercore.delta_closure(h)
-    via_inf = subcomplex_homology(inf_complex(h, coeff, delta))
-    via_sup = subcomplex_homology(sup_complex(h, coeff, delta))
+    bnd = _boundary_matrices(delta, coeff, delta.max_dimension())
+    via_inf = subcomplex_homology(inf_complex(h, coeff, delta, bnd))
+    via_sup = subcomplex_homology(sup_complex(h, coeff, delta, bnd))
     if via_inf != via_sup:
         raise InternalConsistencyError(
             "infimum- and supremum-derived homology disagree: %r vs %r"
@@ -343,8 +355,10 @@ class HomologyBasis:
             # the kernel columns outside the span of im and the kernel columns
             # before them: the greedy rank-increasing choice, in one elimination
             pivots = exact.pivot_columns(im.hstack(ker), coeff)
-            reps = [list(ker.column(c - im.cols)) for c in pivots if c >= im.cols]
-            stacked = im.hstack(ExactMatrix.from_columns(reps, scc.rank_at(n)))
+            ker_cols = ker.transpose().entries
+            reps = [ker_cols[c - im.cols] for c in pivots if c >= im.cols]
+            reps = ExactMatrix.from_sparse(len(reps), scc.rank_at(n), reps, ker.zero).transpose()
+            stacked = im.hstack(reps)
             solver = ColumnSolver(stacked, coeff) if stacked.cols else None
             self._levels.append(
                 {
@@ -357,13 +371,13 @@ class HomologyBasis:
 
     def betti(self, n):
         if 0 <= n < len(self._levels):
-            return len(self._levels[n]["reps"])
+            return self._levels[n]["reps"].cols
         return 0
 
     def representatives(self, n):
         """Class representatives as internal coordinate vectors."""
         if 0 <= n < len(self._levels):
-            return [list(r) for r in self._levels[n]["reps"]]
+            return [list(r) for r in self._levels[n]["reps"].columns()]
         return []
 
     def representatives_ambient(self, n):

@@ -157,10 +157,6 @@ def _chain_to_json(h, chain):
     return [[_format_rational(c), h.edge_key(e)] for e, c in items if c]
 
 
-def _vector_chain(h, edges, vec):
-    return {e: x for e, x in zip(edges, vec) if x}
-
-
 def _matrix_to_json(mat):
     return [[_format_rational(x) for x in row] for row in mat.data]
 
@@ -306,8 +302,8 @@ def _cmd_homology(args, out):
         for n in range(scc.top + 1):
             edges = scc.ambient_basis.degree(n)
             cols = [
-                _chain_to_json(delta, _vector_chain(delta, edges, scc.basis[n].column(j)))
-                for j in range(scc.basis[n].cols)
+                _chain_to_json(delta, {edges[i]: x for i, x in col.items()})
+                for col in scc.basis[n].transpose().entries
             ]
             bases[str(n)] = cols
         result["bases"] = bases
@@ -377,10 +373,12 @@ def _cmd_morse(args, out):
             for n in range(len(glm.matrices))
         }
     else:  # extend
-        obstruction = morse.extension_obstruction(f)
+        # one scan of f serves the obstruction and the search
+        low, high = morse._require_morse(f)
+        obstruction = morse._extension_obstruction(f, low, high)
         result["obstruction"] = _edge_keys(host, obstruction)
         try:
-            extension = morse.search_extension(f, grid_levels=args.grid)
+            extension = morse._search_extension(f, obstruction, grid_levels=args.grid)
         except SizeCapExceeded:
             result["verdict"] = "size-capped"
             result["extension"] = None
@@ -434,8 +432,8 @@ def _cmd_map(args, out):
     kinds = ["lower", "embedded", "assoc"] if args.induced == "all" else [args.induced]
     induced = {}
     # one object per document: the diagram check reuses the complexes, bases
-    # and induced matrices built for the maps
-    maps = morphisms._InducedMaps(phi, coeff)
+    # and induced matrices built for the maps; _require_valid has checked phi
+    maps = morphisms._InducedMaps(phi, coeff, _validated=True)
     src_delta, dst_delta = maps.deltas
     for kind in kinds:
         hm = maps.homology_map(kind)
@@ -488,7 +486,7 @@ def _cmd_discrepancy(args, out):
     f = morse.restrict(f_bar, h)
     m_bar = morse.critical_set(f_bar).critical
     m_low = morse.critical_set(f).critical
-    tagged = morse.critical_discrepancy(f_bar, h)
+    tagged = morse._critical_discrepancy(f_bar, h, delta, m_bar, m_low)
     inter = [e for e in m_bar if h.contains_edge(e)]
     result = {
         "critical_assoc": _edge_keys(delta, m_bar),

@@ -1,35 +1,84 @@
 """Exact matrices over Z, Q, Z/p and canonical sub-module computations.
 
-Matrices are immutable, entries are Python ints (Z and Z/p, stored as
-canonical residues) or Fractions (Q); no floating point anywhere.  Canonical
-bases make span-level statements testable as structural matrix equality:
-column Hermite normal form over Z, reduced column echelon form over fields.
-Field elimination lives here; the integer Hermite elimination and the Smith
-invariant factors live in _kernel.  Integer homology reads the Smith
-diagonal from snf_diagonal, which cancels unit pivots on a sparse copy here
-and hands only the block left without unit entries to _kernel.snf_decompose.
+An ExactMatrix stores only its non-zeros: `entries` holds one {column:
+value} dict per row.  Entries are Python ints (Z and Z/p, stored as
+canonical residues) or Fractions (Q); there is no floating point.  The dense
+views `data`, `row_lists()` and `column()` are built on demand, for the
+public API and for small printed results; the homology path never builds
+them.  Products, transposes, stacks and the zero test run on the non-zeros.
+
+Ranks and Smith invariant factors come from one sparse elimination,
+parameterised by ring, that takes its pivots in Markowitz order from a heap
+of costs re-keyed lazily: over Z only ±1 entries pivot and the block left
+without unit entries goes to _kernel.snf_decompose; over Z/p every non-zero
+pivots; over Q each row is scaled to integers and the rank is the number of
+non-zero invariant factors.
+
+Canonical bases make span-level statements testable as structural matrix
+equality: column Hermite normal form over Z (_kernel.hnf_sparse) and reduced
+column echelon form over fields, both on the sparse rows.  The same row
+reductions, with their transforms, factor the basis of a ColumnSolver.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 from fractions import Fraction
 
 from . import _kernel
 from .coeffs import CoeffSpec
 
 
-class ExactMatrix:
-    """An immutable rows x cols matrix of exact scalars."""
+def _dense(nonzeros, length, zero):
+    """The dense tuple of one sparse row or column: every dense view of an
+    ExactMatrix is built here."""
+    line = [zero] * length
+    for j, x in nonzeros.items():
+        line[j] = x
+    return tuple(line)
 
-    __slots__ = ("rows", "cols", "data")
+
+def _first_zero(lines):
+    # the zero a dense view shows: the first one given (0 or Fraction(0))
+    for line in lines:
+        for x in line:
+            if not x:
+                return x
+    return 0
+
+
+class ExactMatrix:
+    """An immutable rows x cols matrix of exact scalars, stored sparse.
+
+    entries[i] is a {column: value} dict of the non-zeros of row i.  The
+    dicts may be shared between matrices and are never changed after
+    construction.  zero is the zero shown in the dense views.
+    """
+
+    __slots__ = ("rows", "cols", "entries", "zero", "_data")
 
     def __init__(self, rows, cols, data):
-        data = tuple(tuple(r) for r in data)
+        data = [tuple(r) for r in data]
         if len(data) != rows or any(len(r) != cols for r in data):
             raise ValueError("inconsistent matrix shape")
         self.rows = rows
         self.cols = cols
-        self.data = data
+        self.entries = tuple({j: x for j, x in enumerate(r) if x} for r in data)
+        self.zero = _first_zero(data)
+        self._data = None
+
+    @classmethod
+    def from_sparse(cls, rows, cols, entries, zero=0):
+        """A matrix from one {column: value} dict of non-zeros per row.  The
+        dicts are taken over, not copied or checked, and must not change."""
+        m = cls.__new__(cls)
+        m.rows = rows
+        m.cols = cols
+        m.entries = tuple(entries)
+        m.zero = zero
+        m._data = None
+        return m
 
     @classmethod
     def from_rows(cls, data, cols=None):
@@ -42,107 +91,132 @@ class ExactMatrix:
 
     @classmethod
     def from_columns(cls, columns, nrows):
-        columns = [list(c) for c in columns]
+        columns = [tuple(c) for c in columns]
         if any(len(c) != nrows for c in columns):
             raise ValueError("column length mismatch")
-        data = [[c[i] for c in columns] for i in range(nrows)]
-        return cls(nrows, len(columns), data)
+        entries = [{} for _ in range(nrows)]
+        for j, c in enumerate(columns):
+            for i, x in enumerate(c):
+                if x:
+                    entries[i][j] = x
+        return cls.from_sparse(nrows, len(columns), entries, _first_zero(columns))
 
     @classmethod
     def identity(cls, n):
-        return cls(n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls.from_sparse(n, n, [{i: 1} for i in range(n)])
 
     @classmethod
     def zeros(cls, rows, cols):
-        return cls(rows, cols, [[0] * cols for _ in range(rows)])
+        return cls.from_sparse(rows, cols, [{}] * rows)
+
+    @property
+    def data(self):
+        """The dense rows as a tuple of tuples, built on first use."""
+        if self._data is None:
+            self._data = tuple(_dense(r, self.cols, self.zero) for r in self.entries)
+        return self._data
 
     def row_lists(self):
         return [list(r) for r in self.data]
 
     def column(self, j):
-        return tuple(r[j] for r in self.data)
+        return _dense({i: r[j] for i, r in enumerate(self.entries) if j in r}, self.rows, self.zero)
 
     def columns(self):
-        return [self.column(j) for j in range(self.cols)]
+        return [_dense(c, self.rows, self.zero) for c in self.transpose().entries]
 
     def transpose(self):
-        return ExactMatrix(
-            self.cols, self.rows, [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        )
+        out = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self.entries):
+            for j, x in row.items():
+                out[j][i] = x
+        return ExactMatrix.from_sparse(self.cols, self.rows, out, self.zero)
 
     def hstack(self, other):
         if other.rows != self.rows:
             raise ValueError("row count mismatch in hstack")
-        return ExactMatrix(
-            self.rows,
-            self.cols + other.cols,
-            [list(a) + list(b) for a, b in zip(self.data, other.data)],
-        )
+        shift = self.cols
+        entries = []
+        for a, b in zip(self.entries, other.entries):
+            row = dict(a)
+            for j, x in b.items():
+                row[j + shift] = x
+            entries.append(row)
+        # the zero the dense view shows first
+        full = sum(map(len, self.entries)) == self.rows * self.cols
+        zero = other.zero if full else self.zero
+        return ExactMatrix.from_sparse(self.rows, self.cols + other.cols, entries, zero)
 
     def negate(self):
-        return ExactMatrix(self.rows, self.cols, [[-x for x in r] for r in self.data])
+        return ExactMatrix.from_sparse(
+            self.rows, self.cols, [{j: -x for j, x in r.items()} for r in self.entries], self.zero
+        )
 
     def is_zero(self):
-        return all(not x for r in self.data for x in r)
+        return not any(self.entries)
 
     def __eq__(self, other):
         return (
             isinstance(other, ExactMatrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.data == other.data
+            and self.entries == other.entries
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.data))
+        return hash((self.rows, self.cols, tuple(frozenset(r.items()) for r in self.entries)))
 
     def __repr__(self):
         return "ExactMatrix(%dx%d)" % (self.rows, self.cols)
 
 
 def normalize(m, coeff):
-    return ExactMatrix(m.rows, m.cols, [[coeff.normalize(x) for x in r] for r in m.data])
+    norm = coeff.normalize
+    entries = []
+    for r in m.entries:
+        row = {}
+        for j, x in r.items():
+            x = norm(x)
+            if x:
+                row[j] = x
+        entries.append(row)
+    return ExactMatrix.from_sparse(m.rows, m.cols, entries, norm(0))
 
 
 def matmul(a, b, coeff):
-    """Product a*b, summed only over the non-zeros of each row of b.
-
-    Every entry is coeff.normalize of its sum (of 0 where no product is
-    non-zero), with the same summation order as the dense triple loop.
-    """
+    """Product a*b on the non-zeros; every entry is coeff.normalize of its
+    sum, and the zeros of the dense view are coeff.normalize(0)."""
     if a.cols != b.rows:
         raise ValueError("shape mismatch in matmul")
-    b_nonzero = [[(j, y) for j, y in enumerate(row) if y] for row in b.data]
+    b_rows = b.entries
     norm = coeff.normalize
-    zero = norm(0)
     out = []
-    for ar in a.data:
+    for ar in a.entries:
         sums = {}
-        for k, x in enumerate(ar):
-            if x:
-                for j, y in b_nonzero[k]:
-                    sums[j] = sums.get(j, 0) + x * y
-        row = [zero] * b.cols
+        for k, x in ar.items():
+            for j, y in b_rows[k].items():
+                sums[j] = sums.get(j, 0) + x * y
+        row = {}
         for j, s in sums.items():
-            row[j] = norm(s)
+            s = norm(s)
+            if s:
+                row[j] = s
         out.append(row)
-    return ExactMatrix(a.rows, b.cols, out)
+    return ExactMatrix.from_sparse(a.rows, b.cols, out, norm(0))
 
 
 def matvec(a, vec, coeff):
     if a.cols != len(vec):
         raise ValueError("shape mismatch in matvec")
+    norm = coeff.normalize
     out = []
-    for i in range(a.rows):
+    for r in a.entries:
         s = 0
-        ar = a.data[i]
-        for k in range(a.cols):
-            x = ar[k]
-            if x:
-                y = vec[k]
-                if y:
-                    s += x * y
-        out.append(coeff.normalize(s))
+        for k, x in r.items():
+            y = vec[k]
+            if y:
+                s += x * y
+        out.append(norm(s))
     return out
 
 
@@ -150,89 +224,77 @@ def matvec(a, vec, coeff):
 # field elimination (Q via Fractions, Z/p via canonical residues)
 
 
-def _field_closures(coeff):
+def _field_rows(m, coeff):
+    """Fresh sparse rows of m for field elimination: residues mod p over Z/p
+    (entries that vanish dropped), copies over Q."""
     if coeff.kind == "Q":
-        def div(a, b):
-            return Fraction(a, 1) / b if not isinstance(a, Fraction) else a / b
-
-        def submul(a, q, b):
-            return a - q * b
-
-        return div, submul, lambda x: x
-    p = coeff.p
-
-    def div(a, b):
-        return a * pow(b, p - 2, p) % p
-
-    def submul(a, q, b):
-        return (a - q * b) % p
-
-    return div, submul, lambda x: x % p
+        return [dict(r) for r in m.entries]
+    norm = coeff.normalize
+    rows = []
+    for r in m.entries:
+        row = {}
+        for j, x in r.items():
+            x = norm(x)
+            if x:
+                row[j] = x
+        rows.append(row)
+    return rows
 
 
-def _row_submul(target, source, q, support, submul):
-    for j in support:
-        target[j] = submul(target[j], q, source[j])
+def _rref(rows, coeff, transform=False):
+    """Reduced row echelon form over a field of sparse rows, in place.
 
-
-def _rref_rows_with_transform(mat, coeff, transform=True):
-    """Reduced row echelon form over a field with transform u (u*mat = h).
-
-    Returns (h, u, pivots) where pivots is a list of (row, col) pairs; h keeps
-    zero rows so that u stays square and kernel rows can be read off.  With
-    transform=False, u is None and is never built.
+    Column by column, the pivot is the first row at or below the current one
+    with a non-zero there (the dense textbook order); it is scaled to 1 and
+    cleared from every other row.  Returns (u, pivots): u (sparse rows, None
+    unless transform) with u * input = rows, and the (row, column) pairs of
+    the pivots; the rows after the last pivot are empty.
     """
-    div, submul, norm = _field_closures(coeff)
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    rows = [[norm(x) for x in row] for row in mat]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)] if transform else None
+    p = coeff.p if coeff.kind == "Zp" else 0
+    m = len(rows)
+    u = [{i: 1} for i in range(m)] if transform else None
+    col = _kernel.column_index(rows)
     pivots = []
     r = 0
-    for c in range(n):
+    for c in sorted(col):
         if r == m:
             break
-        piv = -1
-        for i in range(r, m):
-            if rows[i][c]:
-                piv = i
-                break
+        piv = min((i for i in col[c] if i >= r), default=-1)
         if piv < 0:
             continue
         if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
+            _kernel.swap_rows(rows, col, r, piv)
             if transform:
                 u[r], u[piv] = u[piv], u[r]
-        a = rows[r][c]
+        prow = rows[r]
+        a = prow[c]
         if a != 1:
-            inv = div(1, a)
-            rows[r] = [norm(x * inv) for x in rows[r]]
-            if transform:
-                u[r] = [norm(x * inv) for x in u[r]]
-        # entries opposite zeros of the pivot row do not change
-        support = [j for j, y in enumerate(rows[r]) if y]
-        u_support = [j for j, y in enumerate(u[r]) if y] if transform else ()
-        for i in range(m):
-            if i != r and rows[i][c]:
-                q = rows[i][c]
-                _row_submul(rows[i], rows[r], q, support, submul)
+            if p:
+                inv = pow(a, p - 2, p)
+                prow = {j: x * inv % p for j, x in prow.items()}
                 if transform:
-                    _row_submul(u[i], u[r], q, u_support, submul)
+                    u[r] = {j: x * inv % p for j, x in u[r].items()}
+            else:
+                inv = 1 / Fraction(a)
+                prow = {j: x * inv for j, x in prow.items()}
+                if transform:
+                    u[r] = {j: x * inv for j, x in u[r].items()}
+            rows[r] = prow
+        for i in [i for i in col[c] if i != r]:
+            q = rows[i][c]
+            _kernel.submul(rows[i], prow, q, p, col, i)
+            if transform:
+                _kernel.submul(u[i], u[r], q, p)
         pivots.append((r, c))
         r += 1
-    return rows, u, pivots
-
-
-def _rref_rows(mat, coeff):
-    h, _, pivots = _rref_rows_with_transform(mat, coeff, transform=False)
-    return h[: len(pivots)]
+    return u, pivots
 
 
 def pivot_columns(m, coeff):
     """Indices of the columns of m outside the span of the columns before
     them (field coefficients): the greedy rank-increasing choice, read off one
     row reduction."""
-    _, _, pivots = _rref_rows_with_transform(m.row_lists(), coeff, transform=False)
+    _, pivots = _rref(_field_rows(m, coeff), coeff)
     return [c for _, c in pivots]
 
 
@@ -240,17 +302,26 @@ def pivot_columns(m, coeff):
 # canonical bases, kernels, solving
 
 
+def _row_basis(rows, ncols, coeff):
+    """The canonical row basis (HNF over Z, RREF over fields) of sparse rows
+    as a matrix whose columns are the basis vectors."""
+    if coeff.kind == "Z":
+        h, _, r = _kernel.hnf_sparse(rows)
+    else:
+        h = rows
+        _, pivots = _rref(h, coeff)
+        r = len(pivots)
+    return ExactMatrix.from_sparse(r, ncols, h[:r], coeff.normalize(0)).transpose()
+
+
 def canonical_basis(m, coeff):
     """Canonical basis of the column span: HNF over Z, RCEF over fields.
 
     Zero columns are dropped; equal spans yield identical matrices.
     """
-    rows_t = m.transpose().row_lists()
-    if coeff.kind == "Z":
-        reduced = _kernel.hnf_rows(rows_t)
-    else:
-        reduced = _rref_rows(rows_t, coeff)
-    return ExactMatrix.from_rows(reduced, cols=m.rows).transpose()
+    rows_t = m.transpose()
+    rows = list(rows_t.entries) if coeff.kind == "Z" else _field_rows(rows_t, coeff)
+    return _row_basis(rows, m.rows, coeff)
 
 
 def hermite_basis(m):
@@ -261,181 +332,204 @@ def hermite_basis(m):
 def kernel_basis(m, coeff):
     """Canonical basis (columns) of {x : m*x = 0} over the given ring.
 
-    Over Z this is a basis of the full kernel lattice (which is saturated).
-    Over a field it is read off the free columns of the RREF of m: each free
-    column f gives x_f = 1 and x_c = -h[r][f] at the pivot column c of row r.
+    Over Z this is a basis of the full kernel lattice (which is saturated),
+    read off the transform rows opposite the zero rows of the HNF of the
+    transpose.  Over a field it is read off the free columns of the RREF of
+    m: each free column f gives x_f = 1 and x_c = -h[r][f] at the pivot
+    column c of row r.
     """
     if coeff.kind == "Z":
-        h, u = _kernel.hnf_rows_with_transform(m.transpose().row_lists())
-        rows = [u[i] for i in range(len(h)) if not any(h[i])]
-        rows = _kernel.hnf_rows(rows)
-    else:
-        h, _, pivots = _rref_rows_with_transform(m.row_lists(), coeff, transform=False)
-        norm = coeff.normalize
-        pivot_cols = {c for _, c in pivots}
-        rows = []
-        for f in range(m.cols):
-            if f not in pivot_cols:
-                x = [norm(0)] * m.cols
-                x[f] = norm(1)
-                for r, c in pivots:
-                    x[c] = norm(-h[r][f])
-                rows.append(x)
-        rows = _rref_rows(rows, coeff)
-    return ExactMatrix.from_rows(rows, cols=m.cols).transpose()
+        _, u, r = _kernel.hnf_sparse(list(m.transpose().entries), True)
+        return _row_basis(u[r:], m.cols, coeff)
+    norm = coeff.normalize
+    h = _field_rows(m, coeff)
+    _, pivots = _rref(h, coeff)
+    pivot_cols = {c for _, c in pivots}
+    one = norm(1)
+    rows = {f: {f: one} for f in range(m.cols) if f not in pivot_cols}
+    for r, c in pivots:
+        # the other non-zeros of an RREF row all sit in free columns
+        for f, y in h[r].items():
+            if f != c:
+                rows[f][c] = norm(-y)
+    return _row_basis(list(rows.values()), m.cols, coeff)
 
 
 class ColumnSolver:
     """Prefactored exact solver for basis-expression problems basis*x = vec.
 
-    solve keeps its residual as a dict of non-zeros and reads each echelon
-    row h[k] and transform row u[k] of the factored transpose through a list
-    of its non-zero (index, value) pairs, made the first time pivot k is used.
+    The transpose of the basis is row reduced once, with its transform:
+    HNF over Z, RREF over fields, on sparse rows.  A solve clears the
+    residual pivot by pivot and sums the transform rows it used.
     """
 
     def __init__(self, basis, coeff):
         self.basis = basis
         self.coeff = coeff
-        rows_t = basis.transpose().row_lists()
+        rows_t = basis.transpose()
         if coeff.kind == "Z":
-            h, u = _kernel.hnf_rows_with_transform(rows_t)
-            pivots = []
-            for i, row in enumerate(h):
-                for j, x in enumerate(row):
-                    if x:
-                        pivots.append((i, j))
-                        break
+            h, u, r = _kernel.hnf_sparse(list(rows_t.entries), True)
+            pivots = [(k, min(h[k])) for k in range(r)]
         else:
-            h, u, pivots = _rref_rows_with_transform(rows_t, coeff)
+            h = _field_rows(rows_t, coeff)
+            u, pivots = _rref(h, coeff, True)
         self._h = h
         self._u = u
-        self._pivots = pivots
-        self._nonzeros = {}
+        self._row_of = {c: k for k, c in pivots}
 
-    def solve(self, vec):
-        """Coefficients x with basis*x = vec, or None if vec is outside the span."""
+    def solve_nonzeros(self, vec):
+        """solve for vec and x given as {index: value} dicts of non-zeros;
+        the values of x are canonical.
+
+        The residual's least index is cleared by the echelon row with its
+        pivot there, which leaves entries only at larger indices; a least
+        index without a pivot (or, over Z, not divisible by it) is outside
+        the span.
+        """
         coeff = self.coeff
-        if len(vec) != self.basis.rows:
-            raise ValueError("vector length mismatch")
         norm = coeff.normalize
         res = {}
-        for j, x in enumerate(vec):
+        for j, x in vec.items():
+            x = norm(x)
             if x:
-                x = norm(x)
-                if x:
-                    res[j] = x
+                res[j] = x
         over_z = coeff.kind == "Z"
-        if not over_z:
-            div, _, _ = _field_closures(coeff)
         p_mod = coeff.p if coeff.kind == "Zp" else 0
         weights = []
-        for k, p in self._pivots:
-            b = res.get(p)
-            if not b:
-                continue
-            a = self._h[k][p]
+        while res:
+            p = min(res)
+            k = self._row_of.get(p)
+            if k is None:
+                return None
+            b = res[p]
             if over_z:
+                a = self._h[k][p]
                 if b % a:
                     return None
                 q = b // a
             else:
-                q = div(b, a)
-            nz = self._nonzeros.get(k)
-            if nz is None:
-                nz = self._nonzeros[k] = (
-                    [(j, y) for j, y in enumerate(self._h[k]) if y],
-                    [(i, y) for i, y in enumerate(self._u[k]) if y],
-                )
-            for j, y in nz[0]:
-                x = res.get(j, 0) - q * y
-                if p_mod:
-                    x %= p_mod
-                if x:
-                    res[j] = x
-                else:
-                    res.pop(j, None)
-            weights.append((q, nz[1]))
-        if res:
-            return None
-        out = [0] * self.basis.cols
-        for q, u_nz in weights:
-            for i, y in u_nz:
-                out[i] += q * y
+                q = b  # RREF pivots are 1
+            _kernel.submul(res, self._h[k], q, p_mod)
+            weights.append((q, self._u[k]))
+        out = {}
+        for q, u_row in weights:
+            for i, y in u_row.items():
+                out[i] = out.get(i, 0) + q * y
         if over_z:
-            return out  # integer sums are already canonical
-        return [norm(x) for x in out]
+            # integer sums are already canonical
+            return {i: x for i, x in out.items() if x}
+        return {i: x for i, x in ((i, norm(x)) for i, x in out.items()) if x}
+
+    def solve(self, vec):
+        """Coefficients x with basis*x = vec, or None if vec is outside the span."""
+        if len(vec) != self.basis.rows:
+            raise ValueError("vector length mismatch")
+        x = self.solve_nonzeros({j: v for j, v in enumerate(vec) if v})
+        if x is None:
+            return None
+        return list(_dense(x, self.basis.cols, self.coeff.normalize(0)))
 
     def contains(self, vec):
         return self.solve(vec) is not None
 
 
+# ---------------------------------------------------------------------------
+# ranks and Smith invariant factors: one Markowitz elimination per ring
+
+
+def _markowitz(rows, p=0):
+    """Sparse elimination of rows, in place, pivots in Markowitz order.
+
+    With p == 0 the rows are integer and only ±1 entries pivot; with a prime
+    p they are residues mod p and every non-zero pivots.  A pivot of least
+    cost (row nnz - 1)*(column nnz - 1), ties to the lowest row and then
+    column, clears its column by row operations, and its row and column
+    then split off.  Costs sit in a heap and are re-keyed lazily: the
+    entries of a row changed by a row operation are pushed again, and an
+    entry popped at a cost below its current one goes back at the current
+    cost.  A cost that fell because the pivot row left its column is not
+    pushed again, so such an entry may be taken a little late.  Returns the
+    number of pivots and the rows left over (over Z/p there are none).
+    """
+    live = {i: row for i, row in enumerate(rows) if row}
+    col = {}
+    for i, row in live.items():
+        for j in row:
+            if j in col:
+                col[j].add(i)
+            else:
+                col[j] = {i}
+    heap = [
+        ((len(row) - 1) * (len(col[j]) - 1), i, j)
+        for i, row in live.items()
+        for j, x in row.items()
+        if p or x == 1 or x == -1
+    ]
+    heapq.heapify(heap)
+    pop = heapq.heappop
+    push = heapq.heappush
+    pivots = 0
+    while heap:
+        cost, i, c = pop(heap)
+        prow = live.get(i)
+        if prow is None:
+            continue
+        x = prow.get(c)
+        if x is None or not (p or x == 1 or x == -1):
+            continue
+        now = (len(prow) - 1) * (len(col[c]) - 1)
+        if now > cost:
+            push(heap, (now, i, c))
+            continue
+        del live[i]
+        for j in prow:
+            col[j].discard(i)
+        inv = pow(x, p - 2, p) if p else x  # over Z, x = ±1 is its own inverse
+        for k in list(col[c]):
+            row = live[k]
+            _kernel.submul(row, prow, row[c] * inv, p, col, k)
+            if not row:
+                del live[k]
+                continue
+            spare = len(row) - 1
+            for j, y in row.items():
+                if p or y == 1 or y == -1:
+                    push(heap, (spare * (len(col[j]) - 1), k, j))
+        pivots += 1
+    return pivots, list(live.values())
+
+
+def _smith(rows):
+    """The non-zero Smith invariant factors of sparse integer rows (consumed):
+    one 1 per unit pivot, then those of the block left without unit entries,
+    densified on its non-empty columns for _kernel.snf_decompose.  The Smith
+    form is unique, so the result is that of the whole matrix."""
+    units, rest = _markowitz(rows)
+    out = [1] * units
+    if rest:
+        cols = sorted({j for row in rest for j in row})
+        out.extend(_kernel.snf_decompose([[row.get(j, 0) for j in cols] for row in rest]))
+    return out
+
+
 def rank(m, coeff):
+    if coeff.kind == "Zp":
+        return _markowitz(_field_rows(m, coeff), coeff.p)[0]
     if coeff.kind == "Z":
         return len(snf_diagonal(m))
-    return len(_rref_rows(m.row_lists(), coeff))
+    rows = []
+    for r in m.entries:
+        # scaling a row by a non-zero integer keeps the rank over Q
+        scale = math.lcm(*(x.denominator for x in r.values()))
+        rows.append({j: x.numerator * (scale // x.denominator) for j, x in r.items()})
+    return len(_smith(rows))
 
 
 def snf_diagonal(m):
-    """The non-zero diagonal entries of the Smith normal form.
-
-    Unit entries are cancelled pair by pair on a sparse copy first: a ±1
-    pivot of lowest Markowitz cost (row nnz - 1)*(col nnz - 1), ties to the
-    lowest row and then column, clears its column by integer row operations,
-    and its row and column then split off as an invariant factor 1.  Only
-    the block left without unit entries is densified for the kernel SNF.
-    The Smith form is unique, so the result is that of the whole matrix.
-    """
-    rows = {}
-    in_col = [set() for _ in range(m.cols)]
-    for i, r in enumerate(m.data):
-        row = {j: x for j, x in enumerate(r) if x}
-        if row:
-            rows[i] = row
-            for j in row:
-                in_col[j].add(i)
-    units = 0
-    while True:
-        # rows run in increasing order, so a later row wins only on a
-        # strictly lower cost, and nothing beats cost 0 from an earlier row
-        best, p, c = -1, -1, -1
-        for i, row in rows.items():
-            if best == 0:
-                break
-            spare = len(row) - 1
-            for j, x in row.items():
-                if x == 1 or x == -1:
-                    key = spare * (len(in_col[j]) - 1)
-                    if best < 0 or key < best or (key == best and i == p and j < c):
-                        best, p, c = key, i, j
-        if best < 0:
-            break
-        prow = rows.pop(p)
-        sign = prow[c]
-        for i in list(in_col[c]):
-            if i == p:
-                continue
-            row = rows[i]
-            q = row[c] * sign
-            for j, x in prow.items():
-                y = row.get(j, 0) - q * x
-                if y:
-                    if j not in row:
-                        in_col[j].add(i)
-                    row[j] = y
-                else:
-                    del row[j]
-                    in_col[j].discard(i)
-            if not row:
-                del rows[i]
-        for j in prow:
-            in_col[j].discard(p)
-        units += 1
-    out = [1] * units
-    if rows:
-        # the residual block without unit entries, empty rows and columns dropped
-        cols = [j for j, used in enumerate(in_col) if used]
-        out.extend(_kernel.snf_decompose([[row.get(j, 0) for j in cols] for row in rows.values()]))
-    return out
+    """The non-zero diagonal entries of the Smith normal form, in
+    divisibility order: unit pivots are cancelled sparsely in Markowitz
+    order and only the block left without unit entries is densified."""
+    return _smith([dict(r) for r in m.entries])
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +551,7 @@ def module_intersection(a, b, coeff):
         return ExactMatrix.zeros(a.rows, 0)
     block = a.hstack(b.negate())
     ker = kernel_basis(block, coeff)
-    xpart = ExactMatrix(a.cols, ker.cols, ker.data[: a.cols])
+    xpart = ExactMatrix.from_sparse(a.cols, ker.cols, ker.entries[: a.cols], ker.zero)
     return canonical_basis(matmul(a, xpart, coeff), coeff)
 
 
@@ -472,9 +566,5 @@ def preimage_module(map_matrix, target_basis, coeff):
         return kernel_basis(map_matrix, coeff)
     block = map_matrix.hstack(target_basis.negate())
     ker = kernel_basis(block, coeff)
-    xpart = ExactMatrix(s, ker.cols, ker.data[:s])
+    xpart = ExactMatrix.from_sparse(s, ker.cols, ker.entries[:s], ker.zero)
     return canonical_basis(xpart, coeff)
-
-
-def unit_column(n, i):
-    return [1 if k == i else 0 for k in range(n)]

@@ -83,10 +83,11 @@ class SimplicialMap:
         return tuple(sorted({self.vertex_map[i] for i in simplex}))
 
 
-def _as_simplicial_map(phi, complex_of):
-    ok, bad = validate_morphism(phi)
-    if not ok:
-        raise MorphismError("not a morphism: edge %r has no image" % (bad,), bad)
+def _as_simplicial_map(phi, complex_of, validated=False):
+    if not validated:
+        ok, bad = validate_morphism(phi)
+        if not ok:
+            raise MorphismError("not a morphism: edge %r has no image" % (bad,), bad)
     source_complex, target_complex = complex_of(phi.source), complex_of(phi.target)
     sm = SimplicialMap(source_complex, target_complex, tuple(phi.index_map()))
     for simplex in source_complex.edges:
@@ -97,9 +98,10 @@ def _as_simplicial_map(phi, complex_of):
     return sm
 
 
-def induced_assoc_map(phi):
-    """The simplicial map between the associated complexes."""
-    return _as_simplicial_map(phi, hypercore.delta_closure)
+def induced_assoc_map(phi, _validated=False):
+    """The simplicial map between the associated complexes.  _validated
+    skips the morphism check for a caller that has made it."""
+    return _as_simplicial_map(phi, hypercore.delta_closure, _validated)
 
 
 def induced_lower_map(phi):
@@ -117,30 +119,38 @@ def _permutation_sign(seq):
     return sign
 
 
-def chain_map(sm, coeff):
+def chain_map(sm, coeff, _boundaries=None):
     """Per-degree matrices of the chain map of a simplicial map: a simplex
     goes to zero when vertex images repeat, else to the image simplex with
     the sign of the sorting permutation.  The boundary-commutation identity
-    is verified and a failure raises (it would be a bug)."""
+    is verified and a failure raises (it would be a bug).  _boundaries, when
+    given, is (∂ of the source, ∂ of the target), each indexed by degree up
+    to at least the source's top degree."""
     src, dst = sm.source, sm.target
     top = src.max_dimension()
+    if _boundaries is None:
+        _boundaries = (
+            chains._boundary_matrices(src, coeff, top),
+            chains._boundary_matrices(dst, coeff, top),
+        )
+    src_bnd, dst_bnd = _boundaries
     mats = []
     for n in range(top + 1):
         dom = src.edges_of_dim(n)
         cod = dst.edges_of_dim(n)
         index = {e: i for i, e in enumerate(cod)}
-        data = [[0] * len(dom) for _ in cod]
+        entries = [{} for _ in cod]
         for j, simplex in enumerate(dom):
             images = [sm.vertex_map[i] for i in simplex]
             if len(set(images)) != len(images):
                 continue
-            data[index[tuple(sorted(images))]][j] = coeff.normalize(
+            entries[index[tuple(sorted(images))]][j] = coeff.normalize(
                 _permutation_sign(images)
             )
-        mats.append(ExactMatrix(len(cod), len(dom), data))
+        mats.append(ExactMatrix.from_sparse(len(cod), len(dom), entries))
     for n in range(1, top + 1):
-        left = exact.matmul(chains.boundary_matrix(dst, n, coeff), mats[n], coeff)
-        right = exact.matmul(mats[n - 1], chains.boundary_matrix(src, n, coeff), coeff)
+        left = exact.matmul(dst_bnd[n], mats[n], coeff)
+        right = exact.matmul(mats[n - 1], src_bnd[n], coeff)
         if left != right:
             raise InternalConsistencyError("chain map does not commute with the boundary")
     return mats
@@ -179,25 +189,36 @@ _SQUARES = (("lower-embedded", "lower", "embedded"), ("embedded-assoc", "embedde
 class _InducedMaps:
     """The objects of one morphism's diagram over one field, each built once.
 
-    Constructing it checks the field and the morphism (through the assoc
-    simplicial map, which also gives ΔH of both sides).  The chain map of the
-    assoc map, the sub-chain complex and homology basis of each side and
-    kind, and the induced matrices of each kind are built on first use.
+    Constructing it checks the field and, unless _validated says the caller
+    has, the morphism (through the assoc simplicial map, which also gives ΔH
+    of both sides).  The chain map of the assoc map, the sub-chain complex
+    and homology basis of each side and kind, and the induced matrices of
+    each kind are built on first use.
     Every sub-chain complex lives in ΔH of its own side, so one chain map of
-    the ΔH serves all three kinds.
+    the ΔH serves all three kinds, and the boundary matrices of each side's
+    ΔH, built once, serve its three complexes and the chain map's check.
     """
 
-    def __init__(self, phi, coeff):
+    def __init__(self, phi, coeff, _validated=False):
         if not coeff.is_field:
             raise ValueError("induced homology maps need field coefficients")
         self.coeff = coeff
         self.hypergraphs = (phi.source, phi.target)
-        self.assoc_map = induced_assoc_map(phi)
+        self.assoc_map = induced_assoc_map(phi, _validated)
         self.deltas = (self.assoc_map.source, self.assoc_map.target)
         self.top = max(self.deltas[0].max_dimension(), self.deltas[1].max_dimension())
         self._chain_map = None
+        self._boundaries = [None, None]
         self._bases = {}
         self._matrices = {}
+
+    def boundaries(self, side):
+        """∂_n of the side's ΔH for n up to the top degree of the diagram."""
+        if self._boundaries[side] is None:
+            self._boundaries[side] = chains._boundary_matrices(
+                self.deltas[side], self.coeff, self.top
+            )
+        return self._boundaries[side]
 
     def basis(self, side, kind):
         """HomologyBasis of the kind's sub-chain complex; side 0 is the
@@ -205,12 +226,15 @@ class _InducedMaps:
         key = (side, kind)
         if key not in self._bases:
             h, delta = self.hypergraphs[side], self.deltas[side]
+            bnd = self.boundaries(side)
             if kind == "lower":
-                scc = chains.coordinate_subcomplex(delta, hypercore.lower_complex(h), self.coeff)
+                scc = chains.coordinate_subcomplex(
+                    delta, hypercore.lower_complex(h), self.coeff, _boundaries=bnd
+                )
             elif kind == "embedded":
-                scc = chains.inf_complex(h, self.coeff, delta)
+                scc = chains.inf_complex(h, self.coeff, delta, _boundaries=bnd)
             else:
-                scc = chains.full_complex(delta, self.coeff)
+                scc = chains.full_complex(delta, self.coeff, _boundaries=bnd)
             self._bases[key] = HomologyBasis(scc)
         return self._bases[key]
 
@@ -220,7 +244,9 @@ class _InducedMaps:
             raise ValueError("unknown induced-map kind %r" % (kind,))
         if kind not in self._matrices:
             if self._chain_map is None:
-                self._chain_map = chain_map(self.assoc_map, self.coeff)
+                self._chain_map = chain_map(
+                    self.assoc_map, self.coeff, _boundaries=(self.boundaries(0), self.boundaries(1))
+                )
             self._matrices[kind] = tuple(
                 chains.induced_on_homology(
                     self.basis(0, kind), self.basis(1, kind), self._chain_map, top=self.top

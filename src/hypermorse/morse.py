@@ -226,13 +226,16 @@ def linear_map(v, coeff=Z):
         dom = host.edges_of_dim(n)
         cod = host.edges_of_dim(n + 1)
         index = {e: i for i, e in enumerate(cod)}
-        data = [[0] * len(dom) for _ in cod]
+        entries = [{} for _ in cod]
         for j, alpha in enumerate(dom):
             for beta in by_pair.get(alpha, ()):
-                data[index[beta]][j] = coeff.normalize(
-                    data[index[beta]][j] - chains.incidence(beta, alpha)
-                )
-        mats.append(ExactMatrix(len(cod), len(dom), data))
+                row = entries[index[beta]]
+                x = coeff.normalize(row.get(j, 0) - chains.incidence(beta, alpha))
+                if x:
+                    row[j] = x
+                else:
+                    row.pop(j, None)
+        mats.append(ExactMatrix.from_sparse(len(cod), len(dom), entries))
     return GradedLinearMap(host, coeff, tuple(mats))
 
 
@@ -251,7 +254,7 @@ def apply_linear_map(glm, chain):
         cod = host.edges_of_dim(n + 1)
         j = dom.index(alpha)
         for i, beta in enumerate(cod):
-            x = mat.data[i][j]
+            x = mat.entries[i].get(j)
             if x:
                 out[beta] = glm.coeff.normalize(out.get(beta, 0) + c * x)
     return {e: c for e, c in out.items() if c}
@@ -347,6 +350,11 @@ def extension_obstruction(f):
     non-empty set proves the function extends to no Morse function on the
     associated complex."""
     low, high = _require_morse(f)
+    return _extension_obstruction(f, low, high)
+
+
+def _extension_obstruction(f, low, high):
+    """extension_obstruction from the (low, high) tables of _require_morse(f)."""
     return tuple(alpha for alpha in f.host.edges if low[alpha] and high[alpha])
 
 
@@ -397,7 +405,13 @@ def search_extension(f, grid_levels=None, max_unknowns=6):
     a simplicial complex has such a cell.
     Returns the extension with host the associated complex, or None.
     """
-    low_cofaces, high_faces = _require_morse(f)
+    low, high = _require_morse(f)
+    return _search_extension(f, _extension_obstruction(f, low, high), grid_levels, max_unknowns)
+
+
+def _search_extension(f, obstruction, grid_levels=None, max_unknowns=6):
+    """search_extension for a caller that has made the Morse check on f and
+    has extension_obstruction(f)."""
     delta = hypercore.delta_closure(f.host)
     in_host = f.host._edge_set
     unknowns = [e for e in delta.edges if e not in in_host]
@@ -408,7 +422,7 @@ def search_extension(f, grid_levels=None, max_unknowns=6):
         raise SizeCapExceeded(
             "%d unknown cells exceed the configured cap of %d" % (k, max_unknowns)
         )
-    if any(low_cofaces[e] and high_faces[e] for e in f.host.edges):
+    if obstruction:
         return None
     per_gap = k if grid_levels is None else max(grid_levels, k)
     distinct = sorted(set(f.values.values()))
@@ -486,8 +500,8 @@ def critical_via_gradient(f):
     for n, mat in enumerate(glm.matrices):
         dom = host.edges_of_dim(n)
         cod = host.edges_of_dim(n + 1)
-        for j, alpha in enumerate(dom):
-            sig = _column_signature(mat, j)
+        for alpha, col in zip(dom, mat.transpose().entries):
+            sig = _column_signature(col)
             if sig is None:
                 zero_column.add(alpha)
             else:
@@ -510,14 +524,16 @@ def extend_gradient(v, to):
     return GradientField(to, v.pairs)
 
 
-def _column_signature(mat, j):
-    """(edge_row_index, sign) when the column is plus/minus a unit vector,
-    None when zero; anything else is impossible for Morse-derived fields."""
-    nonzero = [(i, mat.data[i][j]) for i in range(mat.rows) if mat.data[i][j]]
-    if not nonzero:
+def _column_signature(col):
+    """(edge_row_index, sign) when the column, a {row: value} dict of its
+    non-zeros, is plus/minus a unit vector, None when zero; anything else
+    is impossible for Morse-derived fields."""
+    if not col:
         return None
-    if len(nonzero) == 1 and nonzero[0][1] in (1, -1):
-        return nonzero[0]
+    if len(col) == 1:
+        ((i, x),) = col.items()
+        if x in (1, -1):
+            return (i, x)
     raise InternalConsistencyError("gradient column is not a signed unit vector")
 
 
@@ -535,8 +551,17 @@ def critical_discrepancy(f_bar, h):
     if f_bar.host != delta:
         raise ValueError("the Morse function must live on exactly the associated complex")
     f = restrict(f_bar, h)
-    m_bar = set(critical_set(f_bar).critical)
-    m_low = set(critical_set(f).critical)
+    return _critical_discrepancy(
+        f_bar, h, delta, critical_set(f_bar).critical, critical_set(f).critical
+    )
+
+
+def _critical_discrepancy(f_bar, h, delta, m_bar, m_low):
+    """critical_discrepancy for a caller whose f_bar lives on delta, ΔH of
+    h, with m_bar and m_low the critical edges of f_bar and of its
+    restriction to h.  The cross-check runs here."""
+    m_bar = set(m_bar)
+    m_low = set(m_low)
     definition_side = m_low - (m_bar & set(h.edges))
 
     glm = linear_map(gradient(f_bar), Z)
@@ -545,8 +570,8 @@ def critical_discrepancy(f_bar, h):
     for n, mat in enumerate(glm.matrices):
         dom = delta.edges_of_dim(n)
         cod = delta.edges_of_dim(n + 1)
-        for j, alpha in enumerate(dom):
-            sig = _column_signature(mat, j)
+        for alpha, col in zip(dom, mat.transpose().entries):
+            sig = _column_signature(col)
             col_of[alpha] = None if sig is None else cod[sig[0]]
     preimages = {}
     for tau, target in col_of.items():

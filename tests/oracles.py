@@ -4,7 +4,7 @@ import itertools
 import json
 from fractions import Fraction
 
-from hypermorse import _kernel, exact, hypercore
+from hypermorse import exact, hypercore
 from hypermorse.chains import SubChainComplex, boundary_matrix, edge_module_matrix
 from hypermorse.cli import _parse_rational
 from hypermorse.errors import InvalidDocumentError, NotMorseError
@@ -217,6 +217,44 @@ def random_int_matrix(rng, rows, cols, lo=-4, hi=4):
     return ExactMatrix(rows, cols, [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)])
 
 
+class DenseMatrix:
+    """A matrix stored as a tuple of dense row tuples: the storage and the
+    operations ExactMatrix had before it kept only its non-zeros."""
+
+    def __init__(self, rows, cols, data):
+        data = tuple(tuple(r) for r in data)
+        if len(data) != rows or any(len(r) != cols for r in data):
+            raise ValueError("inconsistent matrix shape")
+        self.rows = rows
+        self.cols = cols
+        self.data = data
+
+    def column(self, j):
+        return tuple(r[j] for r in self.data)
+
+    def transpose(self):
+        return DenseMatrix(
+            self.cols, self.rows, [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)]
+        )
+
+    def hstack(self, other):
+        return DenseMatrix(
+            self.rows, self.cols + other.cols, [a + b for a, b in zip(self.data, other.data)]
+        )
+
+    def negate(self):
+        return DenseMatrix(self.rows, self.cols, [[-x for x in r] for r in self.data])
+
+    def is_zero(self):
+        return all(not x for r in self.data for x in r)
+
+    def __eq__(self, other):
+        return (self.rows, self.cols, self.data) == (other.rows, other.cols, other.data)
+
+    def __hash__(self):
+        return hash((self.rows, self.cols, self.data))
+
+
 def dense_matmul(a, b, coeff):
     """Textbook triple-loop product; every entry is coeff.normalize of its sum."""
     out = []
@@ -297,6 +335,136 @@ def _row_submul(target, source, q, start):
         s = source[j]
         if s:
             target[j] -= q * s
+
+
+def dense_hnf(mat, transform):
+    """Row HNF on dense lists as (h, u, r): h keeps its zero rows, which
+    follow the r non-zero ones, and u * mat = h (u is None without
+    transform).  Each column is cleared by its entry of least absolute value
+    at or below row r, ties to the lowest row."""
+    m = len(mat)
+    n = len(mat[0]) if m else 0
+    rows = [list(row) for row in mat]
+    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)] if transform else None
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        while True:
+            piv = -1
+            best = 0
+            for i in range(r, m):
+                a = rows[i][c]
+                if a:
+                    if a < 0:
+                        a = -a
+                    if piv < 0 or a < best:
+                        piv = i
+                        best = a
+            if piv < 0:
+                break
+            if piv != r:
+                rows[r], rows[piv] = rows[piv], rows[r]
+                if transform:
+                    u[r], u[piv] = u[piv], u[r]
+            a = rows[r][c]
+            clean = True
+            for i in range(r + 1, m):
+                b = rows[i][c]
+                if b:
+                    q = b // a
+                    if q:
+                        _row_submul(rows[i], rows[r], q, c)
+                        if transform:
+                            _row_submul(u[i], u[r], q, 0)
+                    if rows[i][c]:
+                        clean = False
+            if clean:
+                if rows[r][c] < 0:
+                    rows[r] = [-x for x in rows[r]]
+                    if transform:
+                        u[r] = [-x for x in u[r]]
+                a = rows[r][c]
+                for i in range(r):
+                    q = rows[i][c] // a
+                    if q:
+                        _row_submul(rows[i], rows[r], q, c)
+                        if transform:
+                            _row_submul(u[i], u[r], q, 0)
+                r += 1
+                break
+    return rows, u, r
+
+
+def dense_field_closures(coeff):
+    """(div, submul, norm) of the dense field elimination."""
+    if coeff.kind == "Q":
+        def div(a, b):
+            return Fraction(a, 1) / b if not isinstance(a, Fraction) else a / b
+
+        def submul(a, q, b):
+            return a - q * b
+
+        return div, submul, lambda x: x
+    p = coeff.p
+
+    def div(a, b):
+        return a * pow(b, p - 2, p) % p
+
+    def submul(a, q, b):
+        return (a - q * b) % p
+
+    return div, submul, lambda x: x % p
+
+
+def dense_rref_with_transform(mat, coeff, transform=True):
+    """Reduced row echelon form over a field on dense lists, with transform
+    u (u*mat = h): (h, u, pivots) with the (row, col) pairs of the pivots;
+    h keeps its zero rows.  Pivots are taken column by column from the
+    first row at or below the current one."""
+    div, submul, norm = dense_field_closures(coeff)
+    m = len(mat)
+    n = len(mat[0]) if m else 0
+    rows = [[norm(x) for x in row] for row in mat]
+    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)] if transform else None
+    pivots = []
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        piv = next((i for i in range(r, m) if rows[i][c]), -1)
+        if piv < 0:
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            if transform:
+                u[r], u[piv] = u[piv], u[r]
+        a = rows[r][c]
+        if a != 1:
+            inv = div(1, a)
+            rows[r] = [norm(x * inv) for x in rows[r]]
+            if transform:
+                u[r] = [norm(x * inv) for x in u[r]]
+        for i in range(m):
+            if i != r and rows[i][c]:
+                q = rows[i][c]
+                rows[i] = [submul(x, q, y) for x, y in zip(rows[i], rows[r])]
+                if transform:
+                    u[i] = [submul(x, q, y) for x, y in zip(u[i], u[r])]
+        pivots.append((r, c))
+        r += 1
+    return rows, u, pivots
+
+
+def dense_rref(mat, coeff):
+    """The non-zero rows of the dense RREF."""
+    h, _, pivots = dense_rref_with_transform(mat, coeff, transform=False)
+    return h[: len(pivots)]
+
+
+def dense_rank(m, coeff):
+    """Rank over a field from the dense RREF."""
+    return len(dense_rref(m.row_lists(), coeff))
 
 
 def snf_transform_rows(mat):
@@ -495,7 +663,7 @@ class DenseColumnSolver:
         self.coeff = coeff
         rows_t = basis.transpose().row_lists()
         if coeff.kind == "Z":
-            h, u = _kernel.hnf_rows_with_transform(rows_t)
+            h, u, _ = dense_hnf(rows_t, True)
             pivots = []
             for i, row in enumerate(h):
                 for j, x in enumerate(row):
@@ -503,7 +671,7 @@ class DenseColumnSolver:
                         pivots.append((i, j))
                         break
         else:
-            h, u, pivots = exact._rref_rows_with_transform(rows_t, coeff)
+            h, u, pivots = dense_rref_with_transform(rows_t, coeff)
         self._h = h
         self._u = u
         self._pivots = pivots
@@ -528,7 +696,7 @@ class DenseColumnSolver:
                             res[j] -= q * row[j]
                     weights[k] = q
         else:
-            div, submul, _ = exact._field_closures(coeff)
+            div, submul, _ = dense_field_closures(coeff)
             for k, p in self._pivots:
                 b = res[p]
                 if b:
@@ -554,9 +722,9 @@ def field_kernel_basis_oracle(m, coeff):
     """Field kernel from the rows of the transform u opposite the zero rows
     of the RREF of the transpose, brought to RREF."""
     rows_t = m.transpose().row_lists()
-    h, u, pivots = exact._rref_rows_with_transform(rows_t, coeff)
+    h, u, pivots = dense_rref_with_transform(rows_t, coeff)
     rows = [u[i] for i in range(len(pivots), len(h))]
-    rows = exact._rref_rows(rows, coeff)
+    rows = dense_rref(rows, coeff)
     return ExactMatrix.from_rows(rows, cols=m.cols).transpose()
 
 

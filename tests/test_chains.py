@@ -437,3 +437,47 @@ def test_embedded_homology_matches_snf_oracle_on_rp2_deletions():
         _assert_snf_oracle_homology(h)
         # every triangle is kept, and with them the Z/2 torsion in degree 1
         assert embedded_homology(h, Z).torsion[1] == (2,)
+
+
+# ---------------------------------------------------------------------------
+# the homology path on the non-zeros, with each boundary matrix built once
+
+
+def test_embedded_homology_builds_no_dense_matrix(monkeypatch):
+    from hypermorse import _kernel
+
+    rng = random.Random(410)
+    hypergraphs = [_simplex(6)] + [generators.random_hypergraph(rng, 7, 16) for _ in range(30)]
+    rings = (Z, Q, prime_field(3))
+    want = [[embedded_homology(h, coeff) for coeff in rings] for h in hypergraphs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense matrix was built on the homology path")
+
+    # every dense view, the dense constructor and the list-of-lists HNF
+    monkeypatch.setattr(exact, "_dense", refuse)
+    monkeypatch.setattr(ExactMatrix, "__init__", refuse)
+    monkeypatch.setattr(_kernel, "hnf_rows", refuse)
+    monkeypatch.setattr(_kernel, "hnf_rows_with_transform", refuse)
+    with pytest.raises(AssertionError, match="dense matrix"):
+        ExactMatrix.identity(2).data
+    for h, results in zip(hypergraphs, want):
+        assert [embedded_homology(h, coeff) for coeff in rings] == results
+
+
+def test_embedded_homology_builds_each_boundary_once(monkeypatch, h_section6, hp_224):
+    from hypermorse import chains
+
+    calls = []
+    build = chains.boundary_matrix
+
+    def counting(k, n, coeff):
+        calls.append(n)
+        return build(k, n, coeff)
+
+    monkeypatch.setattr(chains, "boundary_matrix", counting)
+    rng = random.Random(411)
+    for h in [h_section6, hp_224, _simplex(5)] + [generators.random_hypergraph(rng, 7, 16) for _ in range(10)]:
+        calls.clear()
+        embedded_homology(h, Z)
+        assert sorted(calls) == list(range(1, delta_closure(h).max_dimension() + 1))

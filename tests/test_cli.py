@@ -316,6 +316,34 @@ def test_discrepancy_section6(tmp_path, capsys):
     assert result["discrepancy"] == [{"edge": "v0,v1,v2", "case": "iii"}]
 
 
+def test_extend_and_discrepancy_do_each_step_once(tmp_path, capsys, monkeypatch):
+    # extend: one scan of f serves the obstruction and the search;
+    # discrepancy: each critical set once, on the ΔH the parse built
+    from hypermorse import morse
+
+    counts = collections.Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(morse, "_scan", counting("scan", morse._scan))
+    monkeypatch.setattr(morse, "critical_set", counting("critical_set", morse.critical_set))
+    monkeypatch.setattr(hypercore, "delta_closure", counting("closure", hypercore.delta_closure))
+    for doc, verdict in ((DOC_311, "none"), (DOC_315, "none")):
+        counts.clear()
+        code, out, err = _run(capsys, ["morse", _write(tmp_path, "e.json", doc), "extend"])
+        assert code == 0 and _result(out)["verdict"] == verdict
+        assert counts["scan"] == 1
+    counts.clear()
+    code, out, err = _run(capsys, ["discrepancy", _write(tmp_path, "h6.json", SECTION6_DOC)])
+    assert code == 0 and _result(out)["discrepancy"] == [{"edge": "v0,v1,v2", "case": "iii"}]
+    assert counts["critical_set"] == 2 and counts["closure"] == 1
+
+
 def test_discrepancy_requires_full_cover(tmp_path, capsys):
     doc = dict(DOC_311)
     path = _write(tmp_path, "e311.json", doc)
@@ -346,8 +374,8 @@ def test_map_example_226(tmp_path, capsys):
 
 def test_map_builds_each_diagram_object_once(tmp_path, capsys, monkeypatch):
     # the induced maps and the diagram check of one document share ΔH of
-    # both sides, one chain map, and a sub-chain complex and homology basis
-    # per side and kind
+    # both sides, their boundary matrices, one chain map, and a sub-chain
+    # complex and homology basis per side and kind
     counts = collections.Counter()
 
     def counting(name, fn):
@@ -365,6 +393,10 @@ def test_map_builds_each_diagram_object_once(tmp_path, capsys, monkeypatch):
     )
     monkeypatch.setattr(morphisms, "chain_map", counting("chain_map", morphisms.chain_map))
     monkeypatch.setattr(hypercore, "delta_closure", counting("closure", hypercore.delta_closure))
+    monkeypatch.setattr(chains, "boundary_matrix", counting("boundary", chains.boundary_matrix))
+    monkeypatch.setattr(
+        morphisms, "validate_morphism", counting("validate", morphisms.validate_morphism)
+    )
     morphism = {
         "source": DOC_226,
         "target": DOC_226_PRIME,
@@ -373,7 +405,16 @@ def test_map_builds_each_diagram_object_once(tmp_path, capsys, monkeypatch):
     path = _write(tmp_path, "phi.json", morphism)
     code, out, err = _run(capsys, ["map", path, "--induced", "all", "--check-diagram"])
     assert code == 0 and _result(out)["diagram_commutes"] is True
-    assert counts == {"basis": 6, "subcomplex": 6, "chain_map": 1, "closure": 2}
+    # ∂_1 and ∂_2 of each side's ΔH, shared by its three complexes and the
+    # chain map's check; one morphism check
+    assert counts == {
+        "basis": 6,
+        "subcomplex": 6,
+        "chain_map": 1,
+        "closure": 2,
+        "boundary": 4,
+        "validate": 1,
+    }
 
 
 def test_map_needs_field_coefficients(tmp_path, capsys):

@@ -419,3 +419,129 @@ def test_field_kernel_basis_matches_transform_oracle(coeff):
             [[coeff.normalize(rng.choice((0, 0, 0, 1, -1, 2, -3))) for _ in range(c)] for _ in range(r)],
         )
         assert kernel_basis(m, coeff) == oracles.field_kernel_basis_oracle(m, coeff)
+
+
+# ---------------------------------------------------------------------------
+# sparse storage against the dense matrix it replaced, and the Markowitz
+# elimination against dense oracles
+
+
+def _random_pair(rng, rows, cols, kind, zero):
+    """An ExactMatrix and an oracles.DenseMatrix of the same dense rows,
+    whose zeros are all `zero`."""
+
+    def entry():
+        if rng.random() < 0.6:
+            return zero
+        x = rng.choice((1, -1, 2, -3, 5))
+        if kind == "Q" and rng.random() < 0.5:
+            return Fraction(x, rng.randint(1, 4))
+        return x
+
+    data = [[entry() for _ in range(cols)] for _ in range(rows)]
+    return ExactMatrix(rows, cols, data), oracles.DenseMatrix(rows, cols, data)
+
+
+def _types(rows):
+    return [[type(x) for x in r] for r in rows]
+
+
+def _assert_same_view(m, d):
+    assert (m.rows, m.cols) == (d.rows, d.cols)
+    assert m.data == d.data and _types(m.data) == _types(d.data)
+    assert m.row_lists() == [list(r) for r in d.data]
+    columns = [d.column(j) for j in range(d.cols)]
+    assert [m.column(j) for j in range(m.cols)] == columns == m.columns()
+    assert _types(m.columns()) == _types(columns)
+    assert m.is_zero() == d.is_zero()
+
+
+@pytest.mark.parametrize("kind, zero", [("Z", 0), ("Q", 0), ("Q", Fraction(0))], ids=["Z", "Q", "Q0"])
+def test_sparse_matrix_matches_dense_oracle(kind, zero):
+    rng = random.Random(407)
+    for _ in range(150):
+        r, c = rng.randint(0, 5), rng.randint(0, 5)
+        m, d = _random_pair(rng, r, c, kind, zero)
+        _assert_same_view(m, d)
+        _assert_same_view(m.transpose(), d.transpose())
+        _assert_same_view(m.negate(), d.negate())
+        right, dright = _random_pair(rng, r, rng.randint(0, 3), kind, zero)
+        _assert_same_view(m.hstack(right), d.hstack(dright))
+        _assert_same_view(ExactMatrix.from_columns(m.columns(), r), d)
+        # equality and hashing: small shapes make equal random pairs common,
+        # and an int entry equals the same Fraction
+        other, dother = _random_pair(rng, r, c, kind, zero)
+        assert (m == other) == (d == dother)
+        if m == other:
+            assert hash(m) == hash(other)
+        as_fractions = ExactMatrix(r, c, [[Fraction(x) for x in row] for row in d.data])
+        assert m == as_fractions and hash(m) == hash(as_fractions)
+        assert ExactMatrix.from_rows(m.row_lists(), cols=c) == m
+        assert (m == m.transpose()) == (d == d.transpose())
+        assert (m == m.negate()) == m.is_zero()
+
+
+def _shuffled(rng, rows, ncols):
+    """rows (dense lists) with their rows and columns permuted at random."""
+    perm = list(range(ncols))
+    rng.shuffle(perm)
+    rows = [[row[perm[j]] for j in range(ncols)] for row in rows]
+    rng.shuffle(rows)
+    return rows
+
+
+def _tied_units_with_torsion(rng):
+    """A graph incidence block (rows ±1 pairs: many unit pivots of equal
+    Markowitz cost) beside a block with planted torsion, shuffled."""
+    nv = rng.randint(2, 9)
+    edges = [tuple(rng.sample(range(nv), 2)) for _ in range(rng.randint(1, 14))]
+    graph = [[0] * nv for _ in edges]
+    for row, (a, b) in zip(graph, edges):
+        row[a], row[b] = 1, -1
+    k = rng.randint(2, 4)
+    diag = [[0] * k for _ in range(k)]
+    for i, t in enumerate(rng.sample((2, 3, 4, 6, 12), rng.randint(1, k))):
+        diag[i][i] = t
+    mixed = matmul(
+        matmul(_unimodular(rng, k), ExactMatrix(k, k, diag), Z), _unimodular(rng, k), Z
+    )
+    rows = [row + [0] * k for row in graph] + [[0] * nv + list(r) for r in mixed.data]
+    return ExactMatrix.from_rows(_shuffled(rng, rows, nv + k))
+
+
+def test_markowitz_snf_diagonal_on_tied_unit_pivots_and_planted_torsion():
+    rng = random.Random(408)
+    torsion = 0
+    for _ in range(150):
+        m = _tied_units_with_torsion(rng)
+        want = oracles.snf_diagonal_oracle(m)
+        assert snf_diagonal(m) == want
+        assert rank(m, Z) == len(want)
+        torsion += any(x > 1 for x in want)
+    assert torsion > 100
+
+
+@pytest.mark.parametrize(
+    "coeff", [Q, prime_field(2), prime_field(3), Z5], ids=["Q", "Z2", "Z3", "Z5"]
+)
+def test_rank_matches_dense_rref_oracle(coeff):
+    rng = random.Random(409)
+    for _ in range(200):
+        r, c = rng.randint(0, 7), rng.randint(0, 7)
+        if coeff is Q:
+            def entry():
+                return Fraction(rng.choice((0, 0, 0, 1, -1, 2, -3)), rng.randint(1, 3))
+        else:
+            # raw integers: the elimination reduces them mod p itself
+            def entry():
+                return rng.choice((0, 0, 0, 1, -1, 2, -3, 5, 6, 10))
+        m = ExactMatrix(r, c, [[entry() for _ in range(c)] for _ in range(r)])
+        if r > 2 and rng.random() < 0.4:
+            # a dependent last row keeps the rank below full
+            data = m.row_lists()
+            data[-1] = [2 * x - 3 * y for x, y in zip(data[0], data[1])]
+            m = ExactMatrix.from_rows(data)
+        assert rank(m, coeff) == oracles.dense_rank(m, coeff)
+    for _ in range(40):
+        m = _tied_units_with_torsion(rng)
+        assert rank(m, coeff) == oracles.dense_rank(m, coeff)

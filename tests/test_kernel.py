@@ -64,3 +64,16 @@ def test_removed_backend_variable_is_inert():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "py\n"
+
+
+def test_sparse_hnf_takes_the_dense_oracle_steps():
+    # the same pivots and row operations: h and the transform u agree exactly
+    rng = random.Random(5)
+    sparse = [
+        [[rng.choice((0, 0, 0, 1, -1, 2, -3)) for _ in range(c)] for _ in range(r)]
+        for r, c in ((rng.randint(0, 9), rng.randint(0, 9)) for _ in range(150))
+    ]
+    for mat in _random_matrices(4) + sparse:
+        h, u, r = oracles.dense_hnf(mat, True)
+        assert _kernel.hnf_rows_with_transform(mat) == (h, u)
+        assert _kernel.hnf_rows(mat) == h[:r]
