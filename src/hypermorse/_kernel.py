@@ -1,15 +1,15 @@
 """Exact integer elimination kernels.
 
 These are the inner loops of the package: the row operation on sparse rows,
-canonical row Hermite normal form on sparse rows, with and without a recorded
-unimodular transform, and the Smith invariant factors of a dense block.
-A sparse row is a {column: value} dict of its non-zeros.  exact.snf_diagonal
-cancels unit pivots sparsely and hands only the block left without unit
-entries to snf_decompose, so the Smith form here carries no transforms.
-hnf_rows, hnf_rows_with_transform and snf_decompose take and return lists of
-equal-length lists of Python ints and never mutate their input; the library
-calls hnf_sparse on its sparse rows directly.  Arbitrary precision is relied
-upon throughout, there is no floating point.
+canonical row Hermite normal form, with and without a recorded unimodular
+transform, and the Smith invariant factors of a dense block.  A sparse row
+is a {column: value} dict of its non-zeros.  hnf_rows and
+hnf_rows_with_transform take and return lists of sparse integer rows;
+exact.snf_diagonal cancels unit pivots sparsely and hands only the block
+left without unit entries to snf_decompose, which takes a list of
+equal-length lists of Python ints and carries no transforms.  No kernel
+mutates its input.  Arbitrary precision is relied upon throughout, there is
+no floating point.
 
 Pivoting follows the fraction-free, minimal-absolute-value strategy: at desk
 scale this keeps intermediate entries small without sacrificing exactness.
@@ -69,14 +69,14 @@ def column_index(rows):
     return col
 
 
-def hnf_sparse(rows, transform=False):
+def _hnf(rows, transform):
     """Row HNF of a list of sparse integer rows, reduced in place.
 
-    Returns (rows, u, r): the first r rows are the non-zero rows of the
-    canonical form and the rest are empty; u (sparse rows, None unless
-    transform) is unimodular with u * input = rows.  Each column is cleared
-    by its entry of least absolute value at or below row r (ties to the
-    lowest row), so the steps, and u, are those of the dense textbook loop.
+    Returns (rows, u): the non-zero rows of the canonical form come first
+    and the rest are empty; u (sparse rows, None unless transform) is
+    unimodular with u * input = rows.  Each column is cleared by its entry of
+    least absolute value at or below the next pivot row (ties to the lowest
+    row), so the steps, and u, are those of the dense textbook loop.
     """
     m = len(rows)
     u = [{i: 1} for i in range(m)] if transform else None
@@ -131,41 +131,29 @@ def hnf_sparse(rows, transform=False):
                             submul(u[i], u[r], q)
                 r += 1
                 break
-    return rows, u, r
+    return rows, u
 
 
-def _sparse(mat):
-    return [{j: x for j, x in enumerate(row) if x} for row in mat]
-
-
-def _dense(row, n):
-    out = [0] * n
-    for j, x in row.items():
-        out[j] = x
-    return out
-
-
-def hnf_rows(mat):
-    """Canonical row Hermite normal form; zero rows are dropped.
+def hnf_rows(rows):
+    """Canonical row Hermite normal form of sparse integer rows; zero rows
+    are dropped.
 
     Pivots are positive, pivot columns strictly increase, and every entry
     above a pivot is reduced into [0, pivot).  Two integer matrices have the
     same row lattice iff their canonical forms are identical.
     """
-    n = len(mat[0]) if mat else 0
-    h, _, r = hnf_sparse(_sparse(mat))
-    return [_dense(row, n) for row in h[:r]]
+    h, _ = _hnf([dict(row) for row in rows], False)
+    return [row for row in h if row]
 
 
-def hnf_rows_with_transform(mat):
-    """Row HNF together with a unimodular u such that u * mat = h.
+def hnf_rows_with_transform(rows):
+    """Row HNF together with a unimodular u such that u * rows = h.
 
-    Returns (h, u) where h keeps its zero rows (so u stays square); the rows
-    of u opposite zero rows of h form a basis of the left-kernel lattice.
+    Returns (h, u) where h keeps its zero rows, empty and last (so u stays
+    square); the rows of u opposite zero rows of h form a basis of the
+    left-kernel lattice.
     """
-    n = len(mat[0]) if mat else 0
-    h, u, _ = hnf_sparse(_sparse(mat), True)
-    return [_dense(row, n) for row in h], [_dense(row, len(mat)) for row in u]
+    return _hnf([dict(row) for row in rows], True)
 
 
 def _row_submul(target, source, q, start):

@@ -145,7 +145,7 @@ class SubChainComplex:
             solver = self._solver(n - 1)
             cols = []
             for j, col in enumerate(image.transpose().entries):
-                x = solver.solve_nonzeros(col)
+                x = solver.solve(col)
                 if x is None:
                     raise MalformedSubcomplexError(
                         "boundary of degree-%d generator %d leaves the span below" % (n, j)

@@ -374,11 +374,10 @@ def _cmd_morse(args, out):
         }
     else:  # extend
         # one scan of f serves the obstruction and the search
-        low, high = morse._require_morse(f)
-        obstruction = morse._extension_obstruction(f, low, high)
+        obstruction = morse.extension_obstruction(f)
         result["obstruction"] = _edge_keys(host, obstruction)
         try:
-            extension = morse._search_extension(f, obstruction, grid_levels=args.grid)
+            extension = morse.search_extension(f, grid_levels=args.grid, _obstruction=obstruction)
         except SizeCapExceeded:
             result["verdict"] = "size-capped"
             result["extension"] = None
@@ -426,14 +425,14 @@ def _load_morphism(args):
 
 def _cmd_map(args, out):
     phi, raw = _load_morphism(args)
-    _require_valid(phi)
+    assoc_map = _assoc_map(phi)
     coeff = CoeffSpec.parse(args.coeff)
     result = {"valid": True}
     kinds = ["lower", "embedded", "assoc"] if args.induced == "all" else [args.induced]
     induced = {}
     # one object per document: the diagram check reuses the complexes, bases
-    # and induced matrices built for the maps; _require_valid has checked phi
-    maps = morphisms._InducedMaps(phi, coeff, _validated=True)
+    # and induced matrices built for the maps
+    maps = morphisms._InducedMaps(phi, coeff, assoc_map)
     src_delta, dst_delta = maps.deltas
     for kind in kinds:
         hm = maps.homology_map(kind)
@@ -463,12 +462,16 @@ def _cmd_map(args, out):
     return _report("map", raw, coeff, result, [], args.timestamp)
 
 
-def _require_valid(phi):
-    ok, bad = morphisms.validate_morphism(phi)
-    if not ok:
+def _assoc_map(phi):
+    """The simplicial map of phi between the associated complexes; building
+    it is the morphism check, whose failure names the edge by its labels."""
+    try:
+        return morphisms.induced_assoc_map(phi)
+    except MorphismError as exc:
+        bad = exc.offending_edge
         raise MorphismError(
             "not a morphism: edge %r has no image" % (phi.source.edge_key(bad),), bad
-        )
+        ) from None
 
 
 def _cmd_discrepancy(args, out):
@@ -486,7 +489,7 @@ def _cmd_discrepancy(args, out):
     f = morse.restrict(f_bar, h)
     m_bar = morse.critical_set(f_bar).critical
     m_low = morse.critical_set(f).critical
-    tagged = morse._critical_discrepancy(f_bar, h, delta, m_bar, m_low)
+    tagged = morse.critical_discrepancy(f_bar, h, _delta=delta, _critical=(m_bar, m_low))
     inter = [e for e in m_bar if h.contains_edge(e)]
     result = {
         "critical_assoc": _edge_keys(delta, m_bar),

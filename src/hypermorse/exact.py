@@ -15,7 +15,7 @@ pivots; over Q each row is scaled to integers and the rank is the number of
 non-zero invariant factors.
 
 Canonical bases make span-level statements testable as structural matrix
-equality: column Hermite normal form over Z (_kernel.hnf_sparse) and reduced
+equality: column Hermite normal form over Z (_kernel.hnf_rows) and reduced
 column echelon form over fields, both on the sparse rows.  The same row
 reductions, with their transforms, factor the basis of a ColumnSolver.
 """
@@ -229,16 +229,7 @@ def _field_rows(m, coeff):
     (entries that vanish dropped), copies over Q."""
     if coeff.kind == "Q":
         return [dict(r) for r in m.entries]
-    norm = coeff.normalize
-    rows = []
-    for r in m.entries:
-        row = {}
-        for j, x in r.items():
-            x = norm(x)
-            if x:
-                row[j] = x
-        rows.append(row)
-    return rows
+    return list(normalize(m, coeff).entries)
 
 
 def _rref(rows, coeff, transform=False):
@@ -306,12 +297,11 @@ def _row_basis(rows, ncols, coeff):
     """The canonical row basis (HNF over Z, RREF over fields) of sparse rows
     as a matrix whose columns are the basis vectors."""
     if coeff.kind == "Z":
-        h, _, r = _kernel.hnf_sparse(rows)
+        h = _kernel.hnf_rows(rows)
     else:
-        h = rows
-        _, pivots = _rref(h, coeff)
-        r = len(pivots)
-    return ExactMatrix.from_sparse(r, ncols, h[:r], coeff.normalize(0)).transpose()
+        _, pivots = _rref(rows, coeff)
+        h = rows[: len(pivots)]
+    return ExactMatrix.from_sparse(len(h), ncols, h, coeff.normalize(0)).transpose()
 
 
 def canonical_basis(m, coeff):
@@ -320,7 +310,7 @@ def canonical_basis(m, coeff):
     Zero columns are dropped; equal spans yield identical matrices.
     """
     rows_t = m.transpose()
-    rows = list(rows_t.entries) if coeff.kind == "Z" else _field_rows(rows_t, coeff)
+    rows = rows_t.entries if coeff.kind == "Z" else _field_rows(rows_t, coeff)
     return _row_basis(rows, m.rows, coeff)
 
 
@@ -339,8 +329,8 @@ def kernel_basis(m, coeff):
     column c of row r.
     """
     if coeff.kind == "Z":
-        _, u, r = _kernel.hnf_sparse(list(m.transpose().entries), True)
-        return _row_basis(u[r:], m.cols, coeff)
+        h, u = _kernel.hnf_rows_with_transform(m.transpose().entries)
+        return _row_basis(u[sum(map(bool, h)) :], m.cols, coeff)
     norm = coeff.normalize
     h = _field_rows(m, coeff)
     _, pivots = _rref(h, coeff)
@@ -368,8 +358,8 @@ class ColumnSolver:
         self.coeff = coeff
         rows_t = basis.transpose()
         if coeff.kind == "Z":
-            h, u, r = _kernel.hnf_sparse(list(rows_t.entries), True)
-            pivots = [(k, min(h[k])) for k in range(r)]
+            h, u = _kernel.hnf_rows_with_transform(rows_t.entries)
+            pivots = [(k, min(row)) for k, row in enumerate(h) if row]
         else:
             h = _field_rows(rows_t, coeff)
             u, pivots = _rref(h, coeff, True)
@@ -377,9 +367,10 @@ class ColumnSolver:
         self._u = u
         self._row_of = {c: k for k, c in pivots}
 
-    def solve_nonzeros(self, vec):
-        """solve for vec and x given as {index: value} dicts of non-zeros;
-        the values of x are canonical.
+    def solve(self, vec):
+        """Coefficients x with basis*x = vec, or None if vec is outside the
+        span.  vec is a dense sequence, or a {index: value} dict of its
+        non-zeros, and x comes back in the same form, its values canonical.
 
         The residual's least index is cleared by the echelon row with its
         pivot there, which leaves entries only at larger indices; a least
@@ -388,6 +379,11 @@ class ColumnSolver:
         """
         coeff = self.coeff
         norm = coeff.normalize
+        dense = not isinstance(vec, dict)
+        if dense:
+            if len(vec) != self.basis.rows:
+                raise ValueError("vector length mismatch")
+            vec = {j: x for j, x in enumerate(vec) if x}
         res = {}
         for j, x in vec.items():
             x = norm(x)
@@ -417,17 +413,10 @@ class ColumnSolver:
                 out[i] = out.get(i, 0) + q * y
         if over_z:
             # integer sums are already canonical
-            return {i: x for i, x in out.items() if x}
-        return {i: x for i, x in ((i, norm(x)) for i, x in out.items()) if x}
-
-    def solve(self, vec):
-        """Coefficients x with basis*x = vec, or None if vec is outside the span."""
-        if len(vec) != self.basis.rows:
-            raise ValueError("vector length mismatch")
-        x = self.solve_nonzeros({j: v for j, v in enumerate(vec) if v})
-        if x is None:
-            return None
-        return list(_dense(x, self.basis.cols, self.coeff.normalize(0)))
+            x = {i: y for i, y in out.items() if y}
+        else:
+            x = {i: y for i, y in ((i, norm(y)) for i, y in out.items()) if y}
+        return list(_dense(x, self.basis.cols, norm(0))) if dense else x
 
     def contains(self, vec):
         return self.solve(vec) is not None
@@ -452,13 +441,7 @@ def _markowitz(rows, p=0):
     number of pivots and the rows left over (over Z/p there are none).
     """
     live = {i: row for i, row in enumerate(rows) if row}
-    col = {}
-    for i, row in live.items():
-        for j in row:
-            if j in col:
-                col[j].add(i)
-            else:
-                col[j] = {i}
+    col = _kernel.column_index(rows)
     heap = [
         ((len(row) - 1) * (len(col[j]) - 1), i, j)
         for i, row in live.items()

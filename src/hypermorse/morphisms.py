@@ -83,11 +83,10 @@ class SimplicialMap:
         return tuple(sorted({self.vertex_map[i] for i in simplex}))
 
 
-def _as_simplicial_map(phi, complex_of, validated=False):
-    if not validated:
-        ok, bad = validate_morphism(phi)
-        if not ok:
-            raise MorphismError("not a morphism: edge %r has no image" % (bad,), bad)
+def _as_simplicial_map(phi, complex_of):
+    ok, bad = validate_morphism(phi)
+    if not ok:
+        raise MorphismError("not a morphism: edge %r has no image" % (bad,), bad)
     source_complex, target_complex = complex_of(phi.source), complex_of(phi.target)
     sm = SimplicialMap(source_complex, target_complex, tuple(phi.index_map()))
     for simplex in source_complex.edges:
@@ -98,10 +97,9 @@ def _as_simplicial_map(phi, complex_of, validated=False):
     return sm
 
 
-def induced_assoc_map(phi, _validated=False):
-    """The simplicial map between the associated complexes.  _validated
-    skips the morphism check for a caller that has made it."""
-    return _as_simplicial_map(phi, hypercore.delta_closure, _validated)
+def induced_assoc_map(phi):
+    """The simplicial map between the associated complexes."""
+    return _as_simplicial_map(phi, hypercore.delta_closure)
 
 
 def induced_lower_map(phi):
@@ -189,22 +187,22 @@ _SQUARES = (("lower-embedded", "lower", "embedded"), ("embedded-assoc", "embedde
 class _InducedMaps:
     """The objects of one morphism's diagram over one field, each built once.
 
-    Constructing it checks the field and, unless _validated says the caller
-    has, the morphism (through the assoc simplicial map, which also gives ΔH
-    of both sides).  The chain map of the assoc map, the sub-chain complex
-    and homology basis of each side and kind, and the induced matrices of
-    each kind are built on first use.
+    Constructing it checks the field and then the morphism, through the
+    assoc simplicial map, which also gives ΔH of both sides; a caller that
+    has built induced_assoc_map(phi) passes it as assoc_map.  The chain map
+    of the assoc map, the sub-chain complex and homology basis of each side
+    and kind, and the induced matrices of each kind are built on first use.
     Every sub-chain complex lives in ΔH of its own side, so one chain map of
     the ΔH serves all three kinds, and the boundary matrices of each side's
     ΔH, built once, serve its three complexes and the chain map's check.
     """
 
-    def __init__(self, phi, coeff, _validated=False):
+    def __init__(self, phi, coeff, assoc_map=None):
         if not coeff.is_field:
             raise ValueError("induced homology maps need field coefficients")
         self.coeff = coeff
         self.hypergraphs = (phi.source, phi.target)
-        self.assoc_map = induced_assoc_map(phi, _validated)
+        self.assoc_map = induced_assoc_map(phi) if assoc_map is None else assoc_map
         self.deltas = (self.assoc_map.source, self.assoc_map.target)
         self.top = max(self.deltas[0].max_dimension(), self.deltas[1].max_dimension())
         self._chain_map = None

@@ -350,11 +350,6 @@ def extension_obstruction(f):
     non-empty set proves the function extends to no Morse function on the
     associated complex."""
     low, high = _require_morse(f)
-    return _extension_obstruction(f, low, high)
-
-
-def _extension_obstruction(f, low, high):
-    """extension_obstruction from the (low, high) tables of _require_morse(f)."""
     return tuple(alpha for alpha in f.host.edges if low[alpha] and high[alpha])
 
 
@@ -389,7 +384,7 @@ def _level(distinct, per_gap, slot):
     return a + i * Fraction(b - a, per_gap + 1)
 
 
-def search_extension(f, grid_levels=None, max_unknowns=6):
+def search_extension(f, grid_levels=None, max_unknowns=6, _obstruction=None):
     """Exhaustive search for a Morse extension to the associated complex.
 
     Unknown cells take candidate levels: the existing values plus per_gap
@@ -404,14 +399,11 @@ def search_extension(f, grid_levels=None, max_unknowns=6):
     extension_obstruction), the answer is None at once: no Morse function on
     a simplicial complex has such a cell.
     Returns the extension with host the associated complex, or None.
+    _obstruction, when given, is extension_obstruction(f) from a caller that
+    has computed it, and with it the Morse check on f.
     """
-    low, high = _require_morse(f)
-    return _search_extension(f, _extension_obstruction(f, low, high), grid_levels, max_unknowns)
-
-
-def _search_extension(f, obstruction, grid_levels=None, max_unknowns=6):
-    """search_extension for a caller that has made the Morse check on f and
-    has extension_obstruction(f)."""
+    if _obstruction is None:
+        _obstruction = extension_obstruction(f)
     delta = hypercore.delta_closure(f.host)
     in_host = f.host._edge_set
     unknowns = [e for e in delta.edges if e not in in_host]
@@ -422,7 +414,7 @@ def _search_extension(f, obstruction, grid_levels=None, max_unknowns=6):
         raise SizeCapExceeded(
             "%d unknown cells exceed the configured cap of %d" % (k, max_unknowns)
         )
-    if obstruction:
+    if _obstruction:
         return None
     per_gap = k if grid_levels is None else max(grid_levels, k)
     distinct = sorted(set(f.values.values()))
@@ -537,7 +529,7 @@ def _column_signature(col):
     raise InternalConsistencyError("gradient column is not a signed unit vector")
 
 
-def critical_discrepancy(f_bar, h):
+def critical_discrepancy(f_bar, h, _delta=None, _critical=None):
     """Critical edges of the restriction that are not critical upstairs,
     classified by the behaviour of the ambient gradient map.
 
@@ -545,23 +537,16 @@ def critical_discrepancy(f_bar, h):
     it; (ii) matched into the complement and some complement cell maps onto
     it; (iii) unmatched but some complement cell maps onto it.  The set is
     computed both from the definitions and from this classification; any
-    disagreement raises.
+    disagreement raises.  _delta, when given, is ΔH of h, and _critical the
+    critical edges of f_bar and of its restriction to h, from a caller that
+    has them.
     """
-    delta = hypercore.delta_closure(h)
+    delta = hypercore.delta_closure(h) if _delta is None else _delta
     if f_bar.host != delta:
         raise ValueError("the Morse function must live on exactly the associated complex")
-    f = restrict(f_bar, h)
-    return _critical_discrepancy(
-        f_bar, h, delta, critical_set(f_bar).critical, critical_set(f).critical
-    )
-
-
-def _critical_discrepancy(f_bar, h, delta, m_bar, m_low):
-    """critical_discrepancy for a caller whose f_bar lives on delta, ΔH of
-    h, with m_bar and m_low the critical edges of f_bar and of its
-    restriction to h.  The cross-check runs here."""
-    m_bar = set(m_bar)
-    m_low = set(m_low)
+    if _critical is None:
+        _critical = (critical_set(f_bar).critical, critical_set(restrict(f_bar, h)).critical)
+    m_bar, m_low = map(set, _critical)
     definition_side = m_low - (m_bar & set(h.edges))
 
     glm = linear_map(gradient(f_bar), Z)

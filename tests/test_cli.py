@@ -445,9 +445,11 @@ def test_map_invalid_morphism_exit_4(tmp_path, capsys):
         "map": {"v0": "u", "v1": "u"},
     }
     path = _write(tmp_path, "phi.json", morphism)
-    code, out, err = _run(capsys, ["map", path])
-    assert code == cli.EXIT_BAD_MORPHISM
-    assert "v0,v1" in err
+    # the morphism check comes before the coefficient checks
+    for extra in ([], ["--coeff", "z"], ["--coeff", "zp:4"]):
+        code, out, err = _run(capsys, ["map", path] + extra)
+        assert code == cli.EXIT_BAD_MORPHISM
+        assert "not a morphism: edge 'v0,v1' has no image" in err
 
 
 def test_parse_error_exit_2(tmp_path, capsys):

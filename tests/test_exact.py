@@ -381,6 +381,9 @@ def test_column_solver_matches_dense_oracle(coeff):
             for vec in (inside, other):
                 got, want = sparse.solve(vec), dense.solve(vec)
                 assert got == want
+                # the same solve on the non-zeros, as the chain layer calls it
+                got_nz = sparse.solve({i: v for i, v in enumerate(vec) if v})
+                assert got_nz == (None if want is None else {k: v for k, v in enumerate(want) if v})
                 if got is None:
                     outside += 1
                 else:

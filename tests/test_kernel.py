@@ -1,4 +1,5 @@
-"""The integer kernel: HNF with and without transform, Smith invariant factors."""
+"""The integer kernel: HNF with and without transform on sparse rows, Smith
+invariant factors."""
 
 import os
 import random
@@ -27,6 +28,14 @@ def _mul(a, b, cols):
     return [[sum(x * b[k][j] for k, x in enumerate(row)) for j in range(cols)] for row in a]
 
 
+def _sparse(mat):
+    return [{j: x for j, x in enumerate(row) if x} for row in mat]
+
+
+def _dense(rows, cols):
+    return [[row.get(j, 0) for j in range(cols)] for row in rows]
+
+
 def test_snf_decompose_matches_transform_oracle():
     for mat in _random_matrices(3, count=190):
         _, d, _ = oracles.snf_transform_rows(mat)
@@ -36,19 +45,20 @@ def test_snf_decompose_matches_transform_oracle():
 
 def test_hnf_rows_is_transform_hnf_without_zero_rows():
     for mat in _random_matrices(1):
-        h, u = _kernel.hnf_rows_with_transform(mat)
-        assert _kernel.hnf_rows(mat) == [row for row in h if any(row)]
+        h, u = _kernel.hnf_rows_with_transform(_sparse(mat))
+        assert _kernel.hnf_rows(_sparse(mat)) == [row for row in h if row]
         cols = len(mat[0]) if mat else 0
-        assert _mul(u, mat, cols) == h
+        assert _mul(_dense(u, len(mat)), mat, cols) == _dense(h, cols)
 
 
 def test_inputs_not_mutated():
     for mat in _random_matrices(2, count=40) + [[[2, 4], [6, 8]], [[0, 3], [-3, 0], [5, 1]]]:
+        rows = _sparse(mat)
         copy = [row[:] for row in mat]
-        _kernel.hnf_rows(mat)
-        _kernel.hnf_rows_with_transform(mat)
+        _kernel.hnf_rows(rows)
+        _kernel.hnf_rows_with_transform(rows)
         _kernel.snf_decompose(mat)
-        assert mat == copy
+        assert mat == copy and rows == _sparse(copy)
 
 
 def test_removed_backend_variable_is_inert():
@@ -75,5 +85,5 @@ def test_sparse_hnf_takes_the_dense_oracle_steps():
     ]
     for mat in _random_matrices(4) + sparse:
         h, u, r = oracles.dense_hnf(mat, True)
-        assert _kernel.hnf_rows_with_transform(mat) == (h, u)
-        assert _kernel.hnf_rows(mat) == h[:r]
+        assert _kernel.hnf_rows_with_transform(_sparse(mat)) == (_sparse(h), _sparse(u))
+        assert _kernel.hnf_rows(_sparse(mat)) == _sparse(h[:r])
