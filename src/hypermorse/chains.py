@@ -5,8 +5,9 @@ complex.  Sub-modules are represented by canonical basis matrices (columns in
 the ambient degree basis), so module equality is matrix equality.  Every
 matrix is built sparse, from its non-zeros: boundary blocks, inclusions,
 placed and merged bases and the restricted boundaries, whose columns are
-solved one non-zero dict at a time.  The boundary matrices of one ΔH are
-built once per call and shared by the sub-chain complexes built on it.
+solved one non-zero dict at a time.  Every operation is a pure function,
+but ∂_n of a complex over a ring is built once and kept on the (immutable)
+complex, so the sub-chain complexes and chain maps on one ΔH share it.
 Homology over Z uses the Smith invariant factors (Betti numbers and torsion
 coefficients); over Q and Z/p it uses ranks.
 """
@@ -71,9 +72,9 @@ def boundary_matrix(complex_, n, coeff):
     return _boundary_block(complex_.edges_of_dim(n), rows, coeff)
 
 
-def _boundary_matrices(complex_, coeff, top):
-    """∂_1 … ∂_top of a complex, at their degrees (index 0 is unused)."""
-    return (None,) + tuple(boundary_matrix(complex_, n, coeff) for n in range(1, top + 1))
+def _boundary(complex_, n, coeff):
+    """boundary_matrix(complex_, n, coeff), built once and kept on complex_."""
+    return hypercore.derived(complex_, ("boundary", n, coeff), boundary_matrix, complex_, n, coeff)
 
 
 def _boundary_block(cols, rows, coeff):
@@ -117,13 +118,11 @@ class SubChainComplex:
     basis; restricted[n] expresses the boundary of each generator in the
     degree-(n-1) generators.  Construction fails with
     MalformedSubcomplexError when a boundary leaves the span below.
-    _boundaries, when given, holds ∂_n of the ambient at index n up to its
-    top degree, shared with other complexes on the same ambient.
     """
 
     __slots__ = ("ambient", "coeff", "ambient_basis", "basis", "restricted", "_solvers")
 
-    def __init__(self, ambient, coeff, basis, _boundaries=None):
+    def __init__(self, ambient, coeff, basis):
         self.ambient = ambient
         self.coeff = coeff
         self.ambient_basis = GradedBasis.of(ambient)
@@ -133,15 +132,13 @@ class SubChainComplex:
             basis.append(ExactMatrix.zeros(len(self.ambient_basis.degree(len(basis))), 0))
         self.basis = tuple(basis)
         self._solvers = [None] * (top + 1)
-        if _boundaries is None:
-            _boundaries = _boundary_matrices(ambient, coeff, top)
         zero = coeff.normalize(0)
         restricted = []
         for n in range(top + 1):
             if n == 0:
                 restricted.append(ExactMatrix.zeros(0, self.basis[0].cols))
                 continue
-            image = exact.matmul(_boundaries[n], self.basis[n], coeff)
+            image = exact.matmul(_boundary(ambient, n, coeff), self.basis[n], coeff)
             solver = self._solver(n - 1)
             cols = []
             for j, col in enumerate(image.transpose().entries):
@@ -183,21 +180,21 @@ class SubChainComplex:
         return exact.matvec(self.basis[n], internal_vector, self.coeff)
 
 
-def full_complex(k, coeff, _boundaries=None):
+def full_complex(k, coeff):
     """C_*(K) of a simplicial complex as a sub-chain complex of itself."""
     k = hypercore.as_simplicial(k)
     basis = [
         ExactMatrix.identity(len(k.edges_of_dim(n))) for n in range(k.max_dimension() + 1)
     ]
-    return SubChainComplex(k, coeff, basis, _boundaries)
+    return SubChainComplex(k, coeff, basis)
 
 
-def coordinate_subcomplex(ambient, sub, coeff, _boundaries=None):
+def coordinate_subcomplex(ambient, sub, coeff):
     """C_*(sub) inside C_*(ambient) for a subcomplex given by its simplices."""
     basis = []
     for n in range(ambient.max_dimension() + 1):
         basis.append(_inclusion_matrix(ambient.edges_of_dim(n), sub.edges_of_dim(n)))
-    return SubChainComplex(ambient, coeff, basis, _boundaries)
+    return SubChainComplex(ambient, coeff, basis)
 
 
 def edge_module_matrix(h, delta, n):
@@ -205,7 +202,7 @@ def edge_module_matrix(h, delta, n):
     return _inclusion_matrix(delta.edges_of_dim(n), h.edges_of_dim(n))
 
 
-def inf_complex(h, coeff=Z, delta=None, _boundaries=None):
+def inf_complex(h, coeff=Z, delta=None):
     """Largest sub-chain complex of C_*(ΔH) contained in the hyperedge modules.
 
     Degree n is the intersection of the degree-n hyperedge module H_n with
@@ -223,10 +220,10 @@ def inf_complex(h, coeff=Z, delta=None, _boundaries=None):
         outside_below = _non_hyperedges(h, delta, n - 1) if n else ()
         ker = exact.kernel_basis(_boundary_block(inside, outside_below, coeff), coeff)
         basis.append(_place_rows(ker, inside, delta.edges_of_dim(n)))
-    return SubChainComplex(delta, coeff, basis, _boundaries)
+    return SubChainComplex(delta, coeff, basis)
 
 
-def sup_complex(h, coeff=Z, delta=None, _boundaries=None):
+def sup_complex(h, coeff=Z, delta=None):
     """Smallest sub-chain complex of C_*(ΔH) containing the hyperedge modules.
 
     Degree n is H_n + ∂H_{n+1}.  H_n is a coordinate submodule, so this is
@@ -250,7 +247,7 @@ def sup_complex(h, coeff=Z, delta=None, _boundaries=None):
         cols += [{i: 1} for i, e in enumerate(cells) if h.contains_edge(e)]
         cols.sort(key=min)
         basis.append(ExactMatrix.from_sparse(len(cols), len(cells), cols).transpose())
-    return SubChainComplex(delta, coeff, basis, _boundaries)
+    return SubChainComplex(delta, coeff, basis)
 
 
 @dataclass(frozen=True)
@@ -306,9 +303,8 @@ def embedded_homology(h, coeff=Z):
     """Embedded homology of a hypergraph: homology of the infimum complex,
     cross-checked against the supremum complex (they must agree)."""
     delta = hypercore.delta_closure(h)
-    bnd = _boundary_matrices(delta, coeff, delta.max_dimension())
-    via_inf = subcomplex_homology(inf_complex(h, coeff, delta, bnd))
-    via_sup = subcomplex_homology(sup_complex(h, coeff, delta, bnd))
+    via_inf = subcomplex_homology(inf_complex(h, coeff, delta))
+    via_sup = subcomplex_homology(sup_complex(h, coeff, delta))
     if via_inf != via_sup:
         raise InternalConsistencyError(
             "infimum- and supremum-derived homology disagree: %r vs %r"

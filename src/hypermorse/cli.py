@@ -286,15 +286,15 @@ def _cmd_homology(args, out):
     h, _ = parse_hypergraph_document(doc)
     coeff = CoeffSpec.parse(args.coeff)
     which = args.which
-    delta = hypercore.delta_closure(h)
     result = {"which": which}
     if which == "embedded":
         result.update(_homology_to_json(chains.embedded_homology(h, coeff)))
     elif which == "assoc":
-        result.update(_homology_to_json(chains.simplicial_homology(delta, coeff)))
+        result.update(_homology_to_json(chains.simplicial_homology(hypercore.delta_closure(h), coeff)))
     elif which == "lower":
         result.update(_homology_to_json(chains.simplicial_homology(hypercore.lower_complex(h), coeff)))
     else:
+        delta = hypercore.delta_closure(h)
         builder = chains.inf_complex if which == "inf" else chains.sup_complex
         scc = builder(h, coeff, delta)
         result.update(_homology_to_json(chains.subcomplex_homology(scc)))
@@ -373,11 +373,9 @@ def _cmd_morse(args, out):
             for n in range(len(glm.matrices))
         }
     else:  # extend
-        # one scan of f serves the obstruction and the search
-        obstruction = morse.extension_obstruction(f)
-        result["obstruction"] = _edge_keys(host, obstruction)
+        result["obstruction"] = _edge_keys(host, morse.extension_obstruction(f))
         try:
-            extension = morse.search_extension(f, grid_levels=args.grid, _obstruction=obstruction)
+            extension = morse.search_extension(f, grid_levels=args.grid)
         except SizeCapExceeded:
             result["verdict"] = "size-capped"
             result["extension"] = None

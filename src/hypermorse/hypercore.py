@@ -5,7 +5,9 @@ finite vertex set.  The vertex order is the declaration order of the labels.
 Hyperedges are stored as strictly increasing tuples of vertex indices and the
 edge list is kept sorted by (dimension, lexicographic order), so iteration and
 serialization are deterministic.  All types are immutable after construction
-and every operation here is a pure function.
+and every operation here is a pure function.  What is derived from an
+immutable object may be kept on it by derived(), built on first use; only
+the module that owns a key reads or writes it.
 """
 
 from __future__ import annotations
@@ -101,7 +103,7 @@ class Hypergraph:
     are merged with a DuplicateEdgeWarning.  The empty hypergraph is legal.
     """
 
-    __slots__ = ("vertex_set", "edges", "_edge_set", "_by_dim")
+    __slots__ = ("vertex_set", "edges", "_edge_set", "_by_dim", "_memo")
 
     def __init__(self, vertex_set, edges):
         if not isinstance(vertex_set, VertexSet):
@@ -138,6 +140,7 @@ class Hypergraph:
         self.edges = tuple(edges)
         self._edge_set = frozenset(self.edges)
         self._by_dim = {n - 1: tuple(es) for n, es in itertools.groupby(self.edges, len)}
+        self._memo = {}
 
     @classmethod
     def from_labels(cls, vertex_labels, edge_label_lists):
@@ -216,12 +219,10 @@ class SimplicialComplex(Hypergraph):
 
     def _build(self, vertex_set, edges):
         super()._build(vertex_set, edges)
-        for e in self.edges:
-            for tau in nonempty_subsets(e):
-                if tau not in self._edge_set:
-                    raise ValueError(
-                        "not downward closed: %r misses face %r" % (e, tau)
-                    )
+        e = _first_unclosed(self)
+        if e is not None:
+            tau = next(t for t in nonempty_subsets(e) if t not in self._edge_set)
+            raise ValueError("not downward closed: %r misses face %r" % (e, tau))
 
     @classmethod
     def _trusted(cls, vertex_set, edges):
@@ -231,6 +232,15 @@ class SimplicialComplex(Hypergraph):
         self.vertex_set = vertex_set
         self._set_edges(edges)
         return self
+
+
+def derived(obj, key, build, *args):
+    """build(*args), kept in the memo of the immutable obj under key: built
+    on the first call, read on every later one."""
+    memo = obj._memo
+    if key not in memo:
+        memo[key] = build(*args)
+    return memo[key]
 
 
 # the public name of edge_dimension
@@ -274,11 +284,20 @@ def lower_complex(h):
     return SimplicialComplex._trusted(h.vertex_set, [e for e in h.edges if e in keep])
 
 
+def _first_unclosed(h):
+    """The first edge of h, in edge_sort_key order, that misses one of its
+    non-empty subsets, or None.  It is the first edge that misses a
+    codimension-1 face: a smaller missing subset lies in a codimension-1
+    face, which is either missing or an earlier edge that misses it."""
+    for e in h.edges:
+        if not h._edge_set.issuperset(codim1_faces(e)):
+            return e
+    return None
+
+
 def is_simplicial(h):
     """True iff every non-empty subset of every edge is itself an edge."""
-    return all(
-        t in h._edge_set for e in h.edges for t in nonempty_subsets(e)
-    )
+    return _first_unclosed(h) is None
 
 
 def as_simplicial(h):

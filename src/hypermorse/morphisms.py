@@ -11,7 +11,9 @@ One private object per morphism and field holds the diagram's pieces: ΔH of
 both sides, the chain map of the assoc simplicial map, and for each side and
 kind (lower, embedded, assoc) the sub-chain complex of ΔH and its homology
 basis.  Each piece is built once, on first use, so the induced maps and the
-diagram check of one call share them.
+diagram check of one call share them.  The boundary matrices of each ΔH are
+kept on the complex itself (see chains), so its sub-chain complexes and the
+chain map's check read the same ∂_n.
 """
 
 from __future__ import annotations
@@ -117,21 +119,13 @@ def _permutation_sign(seq):
     return sign
 
 
-def chain_map(sm, coeff, _boundaries=None):
+def chain_map(sm, coeff):
     """Per-degree matrices of the chain map of a simplicial map: a simplex
     goes to zero when vertex images repeat, else to the image simplex with
     the sign of the sorting permutation.  The boundary-commutation identity
-    is verified and a failure raises (it would be a bug).  _boundaries, when
-    given, is (∂ of the source, ∂ of the target), each indexed by degree up
-    to at least the source's top degree."""
+    is verified and a failure raises (it would be a bug)."""
     src, dst = sm.source, sm.target
     top = src.max_dimension()
-    if _boundaries is None:
-        _boundaries = (
-            chains._boundary_matrices(src, coeff, top),
-            chains._boundary_matrices(dst, coeff, top),
-        )
-    src_bnd, dst_bnd = _boundaries
     mats = []
     for n in range(top + 1):
         dom = src.edges_of_dim(n)
@@ -147,8 +141,8 @@ def chain_map(sm, coeff, _boundaries=None):
             )
         mats.append(ExactMatrix.from_sparse(len(cod), len(dom), entries))
     for n in range(1, top + 1):
-        left = exact.matmul(dst_bnd[n], mats[n], coeff)
-        right = exact.matmul(mats[n - 1], src_bnd[n], coeff)
+        left = exact.matmul(chains._boundary(dst, n, coeff), mats[n], coeff)
+        right = exact.matmul(mats[n - 1], chains._boundary(src, n, coeff), coeff)
         if left != right:
             raise InternalConsistencyError("chain map does not commute with the boundary")
     return mats
@@ -193,8 +187,7 @@ class _InducedMaps:
     of the assoc map, the sub-chain complex and homology basis of each side
     and kind, and the induced matrices of each kind are built on first use.
     Every sub-chain complex lives in ΔH of its own side, so one chain map of
-    the ΔH serves all three kinds, and the boundary matrices of each side's
-    ΔH, built once, serve its three complexes and the chain map's check.
+    the ΔH serves all three kinds.
     """
 
     def __init__(self, phi, coeff, assoc_map=None):
@@ -206,17 +199,8 @@ class _InducedMaps:
         self.deltas = (self.assoc_map.source, self.assoc_map.target)
         self.top = max(self.deltas[0].max_dimension(), self.deltas[1].max_dimension())
         self._chain_map = None
-        self._boundaries = [None, None]
         self._bases = {}
         self._matrices = {}
-
-    def boundaries(self, side):
-        """∂_n of the side's ΔH for n up to the top degree of the diagram."""
-        if self._boundaries[side] is None:
-            self._boundaries[side] = chains._boundary_matrices(
-                self.deltas[side], self.coeff, self.top
-            )
-        return self._boundaries[side]
 
     def basis(self, side, kind):
         """HomologyBasis of the kind's sub-chain complex; side 0 is the
@@ -224,15 +208,12 @@ class _InducedMaps:
         key = (side, kind)
         if key not in self._bases:
             h, delta = self.hypergraphs[side], self.deltas[side]
-            bnd = self.boundaries(side)
             if kind == "lower":
-                scc = chains.coordinate_subcomplex(
-                    delta, hypercore.lower_complex(h), self.coeff, _boundaries=bnd
-                )
+                scc = chains.coordinate_subcomplex(delta, hypercore.lower_complex(h), self.coeff)
             elif kind == "embedded":
-                scc = chains.inf_complex(h, self.coeff, delta, _boundaries=bnd)
+                scc = chains.inf_complex(h, self.coeff, delta)
             else:
-                scc = chains.full_complex(delta, self.coeff, _boundaries=bnd)
+                scc = chains.full_complex(delta, self.coeff)
             self._bases[key] = HomologyBasis(scc)
         return self._bases[key]
 
@@ -242,9 +223,7 @@ class _InducedMaps:
             raise ValueError("unknown induced-map kind %r" % (kind,))
         if kind not in self._matrices:
             if self._chain_map is None:
-                self._chain_map = chain_map(
-                    self.assoc_map, self.coeff, _boundaries=(self.boundaries(0), self.boundaries(1))
-                )
+                self._chain_map = chain_map(self.assoc_map, self.coeff)
             self._matrices[kind] = tuple(
                 chains.induced_on_homology(
                     self.basis(0, kind), self.basis(1, kind), self._chain_map, top=self.top

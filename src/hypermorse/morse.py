@@ -5,7 +5,9 @@ that each edge has at most one coface with a value not above its own and at
 most one face with a value not below its own, counted inside the hypergraph.
 Gradient fields pair faces with cofaces; properness, semi-properness and the
 no-closed-path condition are checked combinatorially and cross-validated
-against the induced degree-raising linear map.
+against the induced degree-raising linear map.  Every operation is a pure
+function; the one scan of a function's values that the Morse check and the
+analyses read is kept on the (immutable) MorseFunction.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 from . import chains, exact, hypercore
 from .coeffs import CoeffSpec, Z
@@ -46,9 +49,10 @@ def _as_fraction(x):
 
 
 class MorseFunction:
-    """A total assignment of exact rationals to the hyperedges of a host."""
+    """A total assignment of exact rationals to the hyperedges of a host.
+    values is read-only: the scan of the values is kept on the function."""
 
-    __slots__ = ("host", "values")
+    __slots__ = ("host", "values", "_memo")
 
     def __init__(self, host, values):
         missing = [e for e in host.edges if e not in values]
@@ -58,7 +62,8 @@ class MorseFunction:
         if extra:
             raise ValueError("value for unknown hyperedge(s) %s" % (sorted(extra),))
         self.host = host
-        self.values = {e: _as_fraction(values[e]) for e in host.edges}
+        self.values = MappingProxyType({e: _as_fraction(values[e]) for e in host.edges})
+        self._memo = {}
 
     def __call__(self, edge):
         return self.values[edge]
@@ -88,7 +93,7 @@ def _scan(f):
     at values not below it, both in edge_sort_key order.  A face g of b with
     f(b) <= f(g) is at once a low coface pair for g and a high face pair for b.
     Values are compared as exact integers in the same order: each value times
-    the least common multiple of all denominators.
+    the least common multiple of all denominators.  Read it through _scanned.
     """
     h = f.host
     scale = math.lcm(*(v.denominator for v in f.values.values()))
@@ -113,19 +118,24 @@ def _scan(f):
     return low, high, tuple(violations)
 
 
+def _scanned(f):
+    """_scan(f), run once per function and kept on it."""
+    return hypercore.derived(f, "scan", _scan, f)
+
+
 def is_morse(f):
     """Check the discrete Morse conditions; returns (ok, violations).
 
     A violation records an edge with two or more cofaces at values not above
     it, or two or more faces at values not below it.
     """
-    _, _, violations = _scan(f)
+    _, _, violations = _scanned(f)
     return (not violations, violations)
 
 
 def _require_morse(f):
     """The (low, high) tables of _scan; raises NotMorseError on a violation."""
-    low, high, violations = _scan(f)
+    low, high, violations = _scanned(f)
     if violations:
         raise NotMorseError(violations)
     return low, high
@@ -384,7 +394,7 @@ def _level(distinct, per_gap, slot):
     return a + i * Fraction(b - a, per_gap + 1)
 
 
-def search_extension(f, grid_levels=None, max_unknowns=6, _obstruction=None):
+def search_extension(f, grid_levels=None, max_unknowns=6):
     """Exhaustive search for a Morse extension to the associated complex.
 
     Unknown cells take candidate levels: the existing values plus per_gap
@@ -399,11 +409,8 @@ def search_extension(f, grid_levels=None, max_unknowns=6, _obstruction=None):
     extension_obstruction), the answer is None at once: no Morse function on
     a simplicial complex has such a cell.
     Returns the extension with host the associated complex, or None.
-    _obstruction, when given, is extension_obstruction(f) from a caller that
-    has computed it, and with it the Morse check on f.
     """
-    if _obstruction is None:
-        _obstruction = extension_obstruction(f)
+    obstruction = extension_obstruction(f)
     delta = hypercore.delta_closure(f.host)
     in_host = f.host._edge_set
     unknowns = [e for e in delta.edges if e not in in_host]
@@ -414,7 +421,7 @@ def search_extension(f, grid_levels=None, max_unknowns=6, _obstruction=None):
         raise SizeCapExceeded(
             "%d unknown cells exceed the configured cap of %d" % (k, max_unknowns)
         )
-    if _obstruction:
+    if obstruction:
         return None
     per_gap = k if grid_levels is None else max(grid_levels, k)
     distinct = sorted(set(f.values.values()))

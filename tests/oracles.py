@@ -43,6 +43,17 @@ def lower_complex_subsets_oracle(h):
     return SimplicialComplex._trusted(h.vertex_set, keep)
 
 
+def closure_error_oracle(h):
+    """The subset-by-subset closure check of SimplicialComplex: None when h
+    is downward closed, else the error text naming the first edge, in
+    edge_sort_key order, and its first missing non-empty subset."""
+    for e in h.edges:
+        for tau in powerset_nonempty(e):
+            if not h.contains_edge(tau):
+                return "not downward closed: %r misses face %r" % (e, tau)
+    return None
+
+
 def from_labels_oracle(vertex_labels, edge_label_lists):
     """Hypergraph.from_labels through the fully validating constructor."""
     vs = VertexSet(vertex_labels)

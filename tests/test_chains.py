@@ -477,3 +477,49 @@ def test_embedded_homology_builds_each_boundary_once(monkeypatch, h_section6, hp
         calls.clear()
         embedded_homology(h, Z)
         assert sorted(calls) == list(range(1, delta_closure(h).max_dimension() + 1))
+
+
+def test_boundaries_are_kept_on_the_complex_per_ring(monkeypatch, h_section6):
+    from hypermorse import chains
+
+    calls = []
+    build = chains.boundary_matrix
+
+    def counting(k, n, coeff):
+        calls.append((n, coeff))
+        return build(k, n, coeff)
+
+    monkeypatch.setattr(chains, "boundary_matrix", counting)
+    delta = delta_closure(h_section6)
+    first = inf_complex(h_section6, Z, delta)
+    assert sorted(calls) == [(1, Z), (2, Z)]
+    calls.clear()
+    again = inf_complex(h_section6, Z, delta)
+    assert calls == [] and again.restricted == first.restricted
+    sup_complex(h_section6, Z, delta)
+    assert calls == []
+    # another ring builds its own ∂, and embedded_homology keeps nothing on
+    # the hypergraph it is given: its ΔH is built per call
+    inf_complex(h_section6, Q, delta)
+    assert sorted(calls) == [(1, Q), (2, Q)]
+    assert embedded_homology(h_section6, Z) == subcomplex_homology(first)
+    assert h_section6._memo == {}
+
+
+def test_derived_data_is_no_parameter():
+    # boundary matrices and the Morse scan are kept on the objects they come
+    # from, so no signature hands them over
+    import inspect
+
+    from hypermorse import chains, morphisms, morse
+
+    for fn, name in (
+        (chains.SubChainComplex, "_boundaries"),
+        (chains.full_complex, "_boundaries"),
+        (chains.coordinate_subcomplex, "_boundaries"),
+        (chains.inf_complex, "_boundaries"),
+        (chains.sup_complex, "_boundaries"),
+        (morphisms.chain_map, "_boundaries"),
+        (morse.search_extension, "_obstruction"),
+    ):
+        assert name not in inspect.signature(fn).parameters, fn.__name__

@@ -205,6 +205,24 @@ def test_homology_assoc_and_lower(tmp_path, capsys):
     assert _result(out)["betti"] == [2, 1]
 
 
+def test_homology_builds_the_closure_only_where_it_is_read(tmp_path, capsys, monkeypatch):
+    # embedded_homology builds its own ΔH; the lower complex needs none
+    calls = []
+    build = hypercore.delta_closure
+
+    def counting(h):
+        calls.append(h)
+        return build(h)
+
+    monkeypatch.setattr(hypercore, "delta_closure", counting)
+    doc = {k: v for k, v in SECTION6_DOC.items() if k != "morse"}
+    path = _write(tmp_path, "h6.json", doc)
+    for which, closures in (("embedded", 1), ("assoc", 1), ("lower", 0), ("inf", 1), ("sup", 1)):
+        calls.clear()
+        code, out, err = _run(capsys, ["homology", path, "--which", which])
+        assert code == 0 and len(calls) == closures, which
+
+
 def test_morse_check_and_critical_section6(tmp_path, capsys):
     path = _write(tmp_path, "h6.json", SECTION6_DOC)
     code, out, err = _run(capsys, ["morse", path, "check", "--on", "assoc"])
@@ -405,14 +423,15 @@ def test_map_builds_each_diagram_object_once(tmp_path, capsys, monkeypatch):
     path = _write(tmp_path, "phi.json", morphism)
     code, out, err = _run(capsys, ["map", path, "--induced", "all", "--check-diagram"])
     assert code == 0 and _result(out)["diagram_commutes"] is True
-    # ∂_1 and ∂_2 of each side's ΔH, shared by its three complexes and the
-    # chain map's check; one morphism check
+    # ∂_1 of the hollow source's ΔH and ∂_1, ∂_2 of the filled target's,
+    # each kept on its complex and read by the three complexes of its side
+    # and the chain map's check; one morphism check
     assert counts == {
         "basis": 6,
         "subcomplex": 6,
         "chain_map": 1,
         "closure": 2,
-        "boundary": 4,
+        "boundary": 3,
         "validate": 1,
     }
 

@@ -204,6 +204,31 @@ def test_closures_match_subset_enumeration():
     assert len(delta_closure(cases[-1]).edges) == 2**9 - 1
 
 
+def test_closure_check_matches_subset_oracle():
+    # random hypergraphs, their closures, and closures less one random cell
+    rng = random.Random(23)
+    cases = []
+    for _ in range(200):
+        h = generators.random_hypergraph(rng, max_vertices=7, max_edges=14)
+        closed = delta_closure(h)
+        cases += [h, closed]
+        if closed.edges:
+            drop = rng.choice(closed.edges)
+            cases.append(Hypergraph(h.vertex_set, [e for e in closed.edges if e != drop]))
+    outcomes = set()
+    for h in cases:
+        expected = oracles.closure_error_oracle(h)
+        assert is_simplicial(h) == (expected is None)
+        if expected is None:
+            assert SimplicialComplex(h.vertex_set, h.edges).edges == h.edges
+        else:
+            with pytest.raises(ValueError) as exc:
+                SimplicialComplex(h.vertex_set, h.edges)
+            assert str(exc.value) == expected
+        outcomes.add(expected is None)
+    assert outcomes == {True, False}
+
+
 def test_unhashable_label_is_unknown():
     vs = VertexSet(["a", "b"])
     assert ["a"] not in vs and {"a": 1} not in vs and "a" in vs

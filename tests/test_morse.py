@@ -317,6 +317,23 @@ def test_condition_c_mutual_exclusion_random():
 # extension analysis
 
 
+def test_one_scan_is_kept_on_a_read_only_function(monkeypatch, f_315):
+    scans = []
+    scan = morse._scan
+
+    def counting(f):
+        scans.append(f)
+        return scan(f)
+
+    monkeypatch.setattr(morse, "_scan", counting)
+    for analysis in (is_morse, critical_set, gradient, extension_obstruction, search_extension):
+        analysis(f_315)
+    assert scans == [f_315]
+    # a changed value would leave the kept scan stale, so none can change
+    with pytest.raises(TypeError):
+        f_315.values[(0,)] = Fraction(5)
+
+
 def test_obstruction_examples(f_311, f_315, h_section6):
     assert extension_obstruction(f_311) == ((0, 1),)
     assert extension_obstruction(f_315) == ()
@@ -441,7 +458,7 @@ def test_morse_layer_matches_fraction_oracles():
         assert (ok, violations) == oracles.is_morse_oracle(f)
         if not ok:
             rejected += 1
-            for analysis in (critical_set, gradient, extension_obstruction):
+            for analysis in (critical_set, gradient, extension_obstruction, search_extension):
                 with pytest.raises(NotMorseError):
                     analysis(f)
             continue
