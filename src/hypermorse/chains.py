@@ -4,8 +4,11 @@ Everything here works inside the chain complex of an associated simplicial
 complex.  Sub-modules are represented by canonical basis matrices (columns in
 the ambient degree basis), so module equality is matrix equality.  Every
 matrix is built sparse, from its non-zeros: boundary blocks, inclusions,
-placed and merged bases and the restricted boundaries, whose columns are
-solved one non-zero dict at a time.  Every operation is a pure function,
+placed and merged bases and the restricted boundaries.  These are read off
+∂'s columns, with no matrix product: a unit generator e_i has column i of ∂
+as its image, only other generators combine columns, and each image is
+solved one non-zero dict at a time by a ColumnSolver that reads the unit
+basis columns below off.  Every operation is a pure function,
 but ∂_n of a complex over a ring is built once and kept on the (immutable)
 complex, so the sub-chain complexes and chain maps on one ΔH share it.
 Homology over Z uses the Smith invariant factors (Betti numbers and torsion
@@ -80,6 +83,8 @@ def _boundary(complex_, n, coeff):
 def _boundary_block(cols, rows, coeff):
     """The boundary map restricted to the chains on the cells `cols`, read
     only in the coordinates of the cells `rows` (faces outside are dropped)."""
+    if not rows:
+        return ExactMatrix.zeros(0, len(cols))
     index = {e: i for i, e in enumerate(rows)}
     signs = (coeff.normalize(1), coeff.normalize(-1))
     entries = [{} for _ in rows]
@@ -138,19 +143,28 @@ class SubChainComplex:
             if n == 0:
                 restricted.append(ExactMatrix.zeros(0, self.basis[0].cols))
                 continue
-            image = exact.matmul(_boundary(ambient, n, coeff), self.basis[n], coeff)
+            faces = _boundary(ambient, n, coeff).transpose().entries
             solver = self._solver(n - 1)
-            cols = []
-            for j, col in enumerate(image.transpose().entries):
-                x = solver.solve(col)
+            rows = [{} for _ in range(self.basis[n - 1].cols)]
+            for j, gen in enumerate(self.basis[n].transpose().entries):
+                if len(gen) == 1 and 1 in gen.values():
+                    # a unit generator e_i: its image is column i of ∂_n
+                    (i,) = gen
+                    image = faces[i]
+                else:
+                    # the solve normalizes these sums, as matmul would
+                    image = {}
+                    for i, b in gen.items():
+                        for r, s in faces[i].items():
+                            image[r] = image.get(r, 0) + b * s
+                x = solver.solve(image)
                 if x is None:
                     raise MalformedSubcomplexError(
                         "boundary of degree-%d generator %d leaves the span below" % (n, j)
                     )
-                cols.append(x)
-            restricted.append(
-                ExactMatrix.from_sparse(len(cols), self.basis[n - 1].cols, cols, zero).transpose()
-            )
+                for i, y in x.items():
+                    rows[i][j] = y
+            restricted.append(ExactMatrix.from_sparse(len(rows), self.basis[n].cols, rows, zero))
         self.restricted = tuple(restricted)
 
     @property

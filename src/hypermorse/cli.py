@@ -487,7 +487,7 @@ def _cmd_discrepancy(args, out):
     f = morse.restrict(f_bar, h)
     m_bar = morse.critical_set(f_bar).critical
     m_low = morse.critical_set(f).critical
-    tagged = morse.critical_discrepancy(f_bar, h, _delta=delta, _critical=(m_bar, m_low))
+    tagged = morse.critical_discrepancy(f_bar, h, _critical=(m_bar, m_low))
     inter = [e for e in m_bar if h.contains_edge(e)]
     result = {
         "critical_assoc": _edge_keys(delta, m_bar),

@@ -9,15 +9,19 @@ them.  Products, transposes, stacks and the zero test run on the non-zeros.
 
 Ranks and Smith invariant factors come from one sparse elimination,
 parameterised by ring, that takes its pivots in Markowitz order from a heap
-of costs re-keyed lazily: over Z only ±1 entries pivot and the block left
-without unit entries goes to _kernel.snf_decompose; over Z/p every non-zero
-pivots; over Q each row is scaled to integers and the rank is the number of
-non-zero invariant factors.
+of costs re-keyed lazily, only for the entries a row operation created or
+changed: over Z only ±1 entries pivot and the block left without unit
+entries goes to _kernel.snf_decompose; over Z/p every non-zero pivots; over
+Q each row is scaled to integers and the rank is the number of non-zero
+invariant factors.
 
 Canonical bases make span-level statements testable as structural matrix
 equality: column Hermite normal form over Z (_kernel.hnf_rows) and reduced
 column echelon form over fields, both on the sparse rows.  The same row
-reductions, with their transforms, factor the basis of a ColumnSolver.
+reductions, with their transforms, factor the basis of a ColumnSolver, all
+but its unit columns (e_p with nothing else on row p), whose coefficients
+are read off the vector.  A matrix with no rows has the identity as its
+kernel basis, with no elimination.
 """
 
 from __future__ import annotations
@@ -326,8 +330,12 @@ def kernel_basis(m, coeff):
     read off the transform rows opposite the zero rows of the HNF of the
     transpose.  Over a field it is read off the free columns of the RREF of
     m: each free column f gives x_f = 1 and x_c = -h[r][f] at the pivot
-    column c of row r.
+    column c of row r.  A matrix with no rows has the identity as kernel.
     """
+    if not m.rows:
+        one = coeff.normalize(1)
+        units = [{i: one} for i in range(m.cols)]
+        return ExactMatrix.from_sparse(m.cols, m.cols, units, coeff.normalize(0))
     if coeff.kind == "Z":
         h, u = _kernel.hnf_rows_with_transform(m.transpose().entries)
         return _row_basis(u[sum(map(bool, h)) :], m.cols, coeff)
@@ -348,21 +356,41 @@ def kernel_basis(m, coeff):
 class ColumnSolver:
     """Prefactored exact solver for basis-expression problems basis*x = vec.
 
-    The transpose of the basis is row reduced once, with its transform:
-    HNF over Z, RREF over fields, on sparse rows.  A solve clears the
-    residual pivot by pivot and sums the transform rows it used.
+    A unit column is a basis column equal to e_p whose row p has no other
+    non-zero.  Its coefficient is read off: x_j = vec_p, whatever the other
+    columns are, because they are all zero on row p and it is zero on every
+    other row.  Only the transpose of the other columns is row reduced, once
+    and with its transform: HNF over Z, RREF over fields, on sparse rows.  A
+    solve reads off the unit coefficients, clears the rest of the residual
+    pivot by pivot and sums the transform rows it used.
     """
 
     def __init__(self, basis, coeff):
         self.basis = basis
         self.coeff = coeff
-        rows_t = basis.transpose()
-        if coeff.kind == "Z":
-            h, u = _kernel.hnf_rows_with_transform(rows_t.entries)
+        rows = basis.entries
+        self._unit_of = {}  # row p -> the unit column e_p
+        at, rest = [], []  # the other columns and their indices
+        for j, col in enumerate(basis.transpose().entries):
+            if len(col) == 1:
+                ((p, x),) = col.items()
+                if x == 1 and len(rows[p]) == 1:
+                    self._unit_of[p] = j
+                    continue
+            at.append(j)
+            rest.append(col)
+        h, u, pivots = (), (), ()
+        if rest and coeff.kind == "Z":
+            h, u = _kernel.hnf_rows_with_transform(rest)
             pivots = [(k, min(row)) for k, row in enumerate(h) if row]
-        else:
-            h = _field_rows(rows_t, coeff)
+        elif rest:
+            h = _field_rows(ExactMatrix.from_sparse(len(rest), basis.rows, rest), coeff)
             u, pivots = _rref(h, coeff, True)
+        if self._unit_of:
+            # the transform rows index the factored columns: give the ones a
+            # solve reads, those opposite a pivot, the basis's indices
+            for k, _ in pivots:
+                u[k] = {at[i]: y for i, y in u[k].items()}
         self._h = h
         self._u = u
         self._row_of = {c: k for k, c in pivots}
@@ -372,10 +400,11 @@ class ColumnSolver:
         span.  vec is a dense sequence, or a {index: value} dict of its
         non-zeros, and x comes back in the same form, its values canonical.
 
-        The residual's least index is cleared by the echelon row with its
-        pivot there, which leaves entries only at larger indices; a least
-        index without a pivot (or, over Z, not divisible by it) is outside
-        the span.
+        The coefficient of a unit column e_p is the residual at p, read off.
+        Of the rest, the residual's least index is cleared by the echelon
+        row with its pivot there, which leaves entries only at larger
+        indices; a least index without a pivot (or, over Z, not divisible by
+        it) is outside the span.
         """
         coeff = self.coeff
         norm = coeff.normalize
@@ -384,11 +413,17 @@ class ColumnSolver:
             if len(vec) != self.basis.rows:
                 raise ValueError("vector length mismatch")
             vec = {j: x for j, x in enumerate(vec) if x}
+        unit_of = self._unit_of
         res = {}
+        read = {}
         for j, x in vec.items():
             x = norm(x)
             if x:
-                res[j] = x
+                c = unit_of.get(j)
+                if c is None:
+                    res[j] = x
+                else:
+                    read[c] = x
         over_z = coeff.kind == "Z"
         p_mod = coeff.p if coeff.kind == "Zp" else 0
         weights = []
@@ -416,6 +451,7 @@ class ColumnSolver:
             x = {i: y for i, y in out.items() if y}
         else:
             x = {i: y for i, y in ((i, norm(y)) for i, y in out.items()) if y}
+        x.update(read)  # unit columns are not among the factored ones
         return list(_dense(x, self.basis.cols, norm(0))) if dense else x
 
     def contains(self, vec):
@@ -433,12 +469,15 @@ def _markowitz(rows, p=0):
     p they are residues mod p and every non-zero pivots.  A pivot of least
     cost (row nnz - 1)*(column nnz - 1), ties to the lowest row and then
     column, clears its column by row operations, and its row and column
-    then split off.  Costs sit in a heap and are re-keyed lazily: the
-    entries of a row changed by a row operation are pushed again, and an
-    entry popped at a cost below its current one goes back at the current
-    cost.  A cost that fell because the pivot row left its column is not
-    pushed again, so such an entry may be taken a little late.  Returns the
-    number of pivots and the rows left over (over Z/p there are none).
+    then split off.  Costs sit in a heap and are re-keyed lazily: a row
+    operation pushes again only the entries it created or changed (those in
+    the pivot row's columns), and an entry popped at a cost below its
+    current one goes back at the current cost.  A cost that fell (the pivot
+    row left its column, or a row operation shortened its row) is not
+    pushed again, so such an entry may be taken a little late; the order is
+    approximate, and the rank and the Smith form do not depend on it.
+    Returns the number of pivots and the rows left over (over Z/p there
+    are none).
     """
     live = {i: row for i, row in enumerate(rows) if row}
     col = _kernel.column_index(rows)
@@ -474,9 +513,12 @@ def _markowitz(rows, p=0):
             if not row:
                 del live[k]
                 continue
+            # the row operation created or changed the entries in the pivot
+            # row's columns; the others keep their records
             spare = len(row) - 1
-            for j, y in row.items():
-                if p or y == 1 or y == -1:
+            for j in prow:
+                y = row.get(j)
+                if y is not None and (p or y == 1 or y == -1):
                     push(heap, (spare * (len(col[j]) - 1), k, j))
         pivots += 1
     return pivots, list(live.values())

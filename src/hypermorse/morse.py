@@ -536,7 +536,20 @@ def _column_signature(col):
     raise InternalConsistencyError("gradient column is not a signed unit vector")
 
 
-def critical_discrepancy(f_bar, h, _delta=None, _critical=None):
+def _is_closure_of(host, h):
+    """host == ΔH(h), decided without building ΔH: host has h's vertex set,
+    is downward closed, holds every edge of h, and each of its maximal cells
+    (no coface in host) is an edge of h.  Then every host cell lies under an
+    edge of h, and ΔH(h), the least closed set holding h, is inside host."""
+    if host.vertex_set != h.vertex_set or not hypercore.is_simplicial(host):
+        return False
+    if not all(host.contains_edge(e) for e in h.edges):
+        return False
+    covered = {f for e in host.edges for f in hypercore.codim1_faces(e)}
+    return all(h.contains_edge(e) for e in host.edges if e not in covered)
+
+
+def critical_discrepancy(f_bar, h, _critical=None):
     """Critical edges of the restriction that are not critical upstairs,
     classified by the behaviour of the ambient gradient map.
 
@@ -544,12 +557,12 @@ def critical_discrepancy(f_bar, h, _delta=None, _critical=None):
     it; (ii) matched into the complement and some complement cell maps onto
     it; (iii) unmatched but some complement cell maps onto it.  The set is
     computed both from the definitions and from this classification; any
-    disagreement raises.  _delta, when given, is ΔH of h, and _critical the
-    critical edges of f_bar and of its restriction to h, from a caller that
-    has them.
+    disagreement raises.  f_bar must live on exactly ΔH of h.  _critical,
+    when given, is the critical edges of f_bar and of its restriction to h,
+    from a caller that has them.
     """
-    delta = hypercore.delta_closure(h) if _delta is None else _delta
-    if f_bar.host != delta:
+    delta = f_bar.host
+    if not _is_closure_of(delta, h):
         raise ValueError("the Morse function must live on exactly the associated complex")
     if _critical is None:
         _critical = (critical_set(f_bar).critical, critical_set(restrict(f_bar, h)).critical)

@@ -1,13 +1,14 @@
 """Brute-force oracles, independent of the implementation paths they check."""
 
+import heapq
 import itertools
 import json
 from fractions import Fraction
 
-from hypermorse import exact, hypercore
+from hypermorse import _kernel, exact, hypercore
 from hypermorse.chains import SubChainComplex, boundary_matrix, edge_module_matrix
 from hypermorse.cli import _parse_rational
-from hypermorse.errors import InvalidDocumentError, NotMorseError
+from hypermorse.errors import InvalidDocumentError, MalformedSubcomplexError, NotMorseError
 from hypermorse.exact import ColumnSolver, ExactMatrix
 from hypermorse.hypercore import Hypergraph, SimplicialComplex, VertexSet, edge_sort_key
 from hypermorse.morse import CriticalReport, GradientField, MorseViolation
@@ -751,6 +752,86 @@ def snf_homology_oracle(scc):
     return tuple(
         (scc.rank_at(n) - ranks[n] - ranks[n + 1], torsions[n + 1]) for n in range(top + 1)
     )
+
+
+# ---------------------------------------------------------------------------
+# restricted boundaries by product and solve, and the Markowitz elimination
+# that pushes every entry of a changed row again
+
+
+def restricted_boundaries_oracle(scc):
+    """The restricted boundaries of a sub-chain complex by product and solve:
+    ∂_n times the degree-n basis (dense product), each image column solved
+    against the whole degree-(n-1) basis, unit columns included."""
+    coeff = scc.coeff
+    out = []
+    for n in range(scc.top + 1):
+        if n == 0:
+            out.append(ExactMatrix.zeros(0, scc.basis[0].cols))
+            continue
+        image = dense_matmul(boundary_matrix(scc.ambient, n, coeff), scc.basis[n], coeff)
+        solver = DenseColumnSolver(scc.basis[n - 1], coeff)
+        cols = [solver.solve(image.column(j)) for j in range(image.cols)]
+        if None in cols:
+            raise MalformedSubcomplexError("boundary leaves the span below")
+        out.append(ExactMatrix.from_columns(cols, scc.basis[n - 1].cols))
+    return tuple(out)
+
+
+def markowitz_repush_oracle(rows, p=0):
+    """Sparse elimination in Markowitz order whose row operations push every
+    entry of the changed row back onto the heap, not only the entries they
+    created or changed.  Returns (pivots, rows left over), like
+    exact._markowitz; rows is consumed."""
+    live = {i: row for i, row in enumerate(rows) if row}
+    col = _kernel.column_index(rows)
+    heap = [
+        ((len(row) - 1) * (len(col[j]) - 1), i, j)
+        for i, row in live.items()
+        for j, x in row.items()
+        if p or x == 1 or x == -1
+    ]
+    heapq.heapify(heap)
+    pivots = 0
+    while heap:
+        cost, i, c = heapq.heappop(heap)
+        prow = live.get(i)
+        if prow is None:
+            continue
+        x = prow.get(c)
+        if x is None or not (p or x == 1 or x == -1):
+            continue
+        now = (len(prow) - 1) * (len(col[c]) - 1)
+        if now > cost:
+            heapq.heappush(heap, (now, i, c))
+            continue
+        del live[i]
+        for j in prow:
+            col[j].discard(i)
+        inv = pow(x, p - 2, p) if p else x
+        for k in list(col[c]):
+            row = live[k]
+            _kernel.submul(row, prow, row[c] * inv, p, col, k)
+            if not row:
+                del live[k]
+                continue
+            spare = len(row) - 1
+            for j, y in row.items():
+                if p or y == 1 or y == -1:
+                    heapq.heappush(heap, (spare * (len(col[j]) - 1), k, j))
+        pivots += 1
+    return pivots, list(live.values())
+
+
+def markowitz_repush_smith_oracle(m):
+    """Non-zero Smith invariant factors of an integer matrix: a 1 per unit
+    pivot of markowitz_repush_oracle, then the dense SNF of the rest."""
+    units, rest = markowitz_repush_oracle([dict(r) for r in m.entries])
+    if not rest:
+        return [1] * units
+    cols = sorted({j for row in rest for j in row})
+    block = ExactMatrix.from_rows([[row.get(j, 0) for j in cols] for row in rest])
+    return [1] * units + snf_diagonal_oracle(block)
 
 
 # ---------------------------------------------------------------------------

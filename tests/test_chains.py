@@ -523,3 +523,53 @@ def test_derived_data_is_no_parameter():
         (morse.search_extension, "_obstruction"),
     ):
         assert name not in inspect.signature(fn).parameters, fn.__name__
+
+
+# ---------------------------------------------------------------------------
+# restricted boundaries read off ∂'s columns and the unit basis columns,
+# against the product-and-solve path
+
+
+@pytest.mark.parametrize("coeff", [Z, Q, prime_field(3)], ids=["Z", "Q", "Z3"])
+def test_restricted_boundaries_match_product_and_solve_oracle(coeff):
+    from hypermorse.chains import full_complex
+
+    rng = random.Random(412)
+    hypergraphs = [generators.random_hypergraph(rng, 7, 16) for _ in range(12)]
+    for h in hypergraphs + [_simplex(k) for k in (4, 5, 6)]:
+        delta = delta_closure(h)
+        complexes = (
+            inf_complex(h, coeff, delta),
+            sup_complex(h, coeff, delta),
+            full_complex(delta, coeff),
+            coordinate_subcomplex(delta, lower_complex(h), coeff),
+        )
+        for scc in complexes:
+            assert scc.restricted == oracles.restricted_boundaries_oracle(scc)
+
+
+def test_unit_columns_save_the_products_and_solves(monkeypatch):
+    # on Δ^6 every π-block is empty and every basis column is a unit: the
+    # only products left are the ∂∂=0 checks, 5 per sub-chain complex, and
+    # no basis is factored with a transform
+    from hypermorse import _kernel
+
+    calls = {"matmul": 0, "hnf_rows_with_transform": 0}
+
+    def counting(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(exact, "matmul")
+    counting(_kernel, "hnf_rows_with_transform")
+    k = _simplex(6)
+    assert embedded_homology(k, Z).betti == (1,) + (0,) * 6
+    assert calls == {"matmul": 10, "hnf_rows_with_transform": 0}
+    calls.update(matmul=0)
+    assert simplicial_homology(k, Z).betti == (1,) + (0,) * 6
+    assert calls == {"matmul": 5, "hnf_rows_with_transform": 0}

@@ -11,6 +11,7 @@ from hypermorse.exact import (
     hermite_basis,
     kernel_basis,
     matmul,
+    matvec,
     module_intersection,
     module_sum,
     normalize,
@@ -548,3 +549,105 @@ def test_rank_matches_dense_rref_oracle(coeff):
     for _ in range(40):
         m = _tied_units_with_torsion(rng)
         assert rank(m, coeff) == oracles.dense_rank(m, coeff)
+
+
+# ---------------------------------------------------------------------------
+# unit columns read off by ColumnSolver, and the Markowitz heap re-keyed only
+# where a row operation changed an entry
+
+
+def _basis_with_units(rng, coeff):
+    """A random basis, some of whose columns are made units e_p (row p then
+    holds nothing else) and some traps e_p (row p keeps another non-zero)."""
+    r, c = rng.randint(1, 7), rng.randint(1, 7)
+    data = [[rng.choice((0, 0, 0, 1, -1, 2, 3)) for _ in range(c)] for _ in range(r)]
+    rows = rng.sample(range(r), rng.randint(1, r))
+    units = traps = 0
+    for j, p in zip(rng.sample(range(c), min(c, len(rows))), rows):
+        for i in range(r):
+            data[i][j] = 1 if i == p else 0
+        if rng.random() < 0.7:
+            data[p] = [1 if k == j else 0 for k in range(c)]
+            units += 1
+        elif any(data[p][k] for k in range(c) if k != j):
+            traps += 1
+    return normalize(ExactMatrix(r, c, data), coeff), units, traps
+
+
+@pytest.mark.parametrize("coeff", [Z, Q, prime_field(3)], ids=["Z", "Q", "Z3"])
+def test_column_solver_reads_unit_columns_off(coeff):
+    rng = random.Random(414)
+    seen = {"units": 0, "traps": 0, "outside": 0, "dependent": 0}
+    for _ in range(150):
+        m, units, traps = _basis_with_units(rng, coeff)
+        seen["units"] += units
+        seen["traps"] += traps
+        sparse, dense = ColumnSolver(m, coeff), oracles.DenseColumnSolver(m, coeff)
+        independent = oracles.dense_rank(m, Q if coeff is Z else coeff) == m.cols
+        seen["dependent"] += not independent
+        for _ in range(3):
+            x = [rng.randint(-3, 3) for _ in range(m.cols)]
+            inside = [sum(v * x[k] for k, v in row.items()) for row in m.entries]
+            other = [rng.randint(-3, 3) for _ in range(m.rows)]
+            for vec in (inside, other):
+                got, want = sparse.solve(vec), dense.solve(vec)
+                got_nz = sparse.solve({i: v for i, v in enumerate(vec) if v})
+                if got is None:
+                    assert want is None and got_nz is None
+                    seen["outside"] += 1
+                    continue
+                assert got_nz == {k: v for k, v in enumerate(got) if v}
+                assert [type(v) for v in got] == [type(coeff.normalize(0))] * m.cols
+                if independent:
+                    assert got == want
+                else:
+                    # the coefficients are not unique: check the combination
+                    assert want is not None
+                    assert [coeff.normalize(s) for s in matvec(m, got, coeff)] == [
+                        coeff.normalize(v) for v in vec
+                    ]
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("coeff", [Z, Q, prime_field(3)], ids=["Z", "Q", "Z3"])
+def test_column_solver_reads_no_trap_column_off(coeff):
+    # e_0 is a basis column, but row 0 also holds the second column, so the
+    # coefficient of e_0 is not the entry at row 0
+    m = ExactMatrix.from_columns([(1, 0, 0), (1, 1, 0), (0, 0, 1)], 3)
+    solver = ColumnSolver(m, coeff)
+    one, minus = coeff.normalize(1), coeff.normalize(-1)
+    assert solver.solve([0, 1, 2]) == [minus, one, coeff.normalize(2)]
+    assert solver.solve({1: 1}) == {0: minus, 1: one}
+    assert solver.solve([1, 0, 0]) == [one, coeff.normalize(0), coeff.normalize(0)]
+    assert oracles.DenseColumnSolver(m, coeff).solve([0, 1, 2]) == solver.solve([0, 1, 2])
+
+
+def _sparse_int_matrix(rng, r, c):
+    return ExactMatrix(
+        r, c, [[rng.choice((0,) * 9 + (1, -1, 1, -1, 2, -2, 3)) for _ in range(c)] for _ in range(r)]
+    )
+
+
+def test_markowitz_with_fill_in_matches_oracles(monkeypatch):
+    from hypermorse import _kernel
+
+    fills = []
+    submul = _kernel.submul
+
+    def counting(target, source, *args):
+        fills.append(sum(j not in target for j in source))
+        return submul(target, source, *args)
+
+    monkeypatch.setattr(_kernel, "submul", counting)
+    rng = random.Random(415)
+    for _ in range(40):
+        m = _sparse_int_matrix(rng, rng.randint(10, 20), rng.randint(10, 20))
+        want = oracles.snf_diagonal_oracle(m)
+        assert snf_diagonal(m) == want == oracles.markowitz_repush_smith_oracle(m)
+        assert rank(m, Z) == len(want)
+        assert rank(m, Q) == oracles.dense_rank(m, Q) == len(want)
+        z3 = prime_field(3)
+        r3 = oracles.dense_rank(m, z3)
+        assert rank(m, z3) == r3
+        assert oracles.markowitz_repush_oracle(list(normalize(m, z3).entries), 3)[0] == r3
+    assert sum(fills) > 1000

@@ -541,6 +541,46 @@ def test_discrepancy_rejects_wrong_host(fbar_section6, h_section6):
         critical_discrepancy(f_big, h_section6)
 
 
+def test_discrepancy_checks_the_host_without_a_closure(monkeypatch):
+    # the dimension function on the filled triangle does not live on ΔH of
+    # {a, b, ab}; no parameter hands the check a complex to compare with
+    import inspect
+
+    from hypermorse import hypercore
+
+    assert "_delta" not in inspect.signature(critical_discrepancy).parameters
+    names = ["a", "b", "c"]
+    h = Hypergraph.from_labels(names, [["a"], ["b"], ["a", "b"]])
+    triangle = dim_function(delta_closure(Hypergraph.from_labels(names, [["a", "b", "c"]])))
+    on_delta = dim_function(delta_closure(h))
+
+    def refuse(*args):
+        raise AssertionError("the host check built a closure")
+
+    monkeypatch.setattr(hypercore, "delta_closure", refuse)
+    with pytest.raises(ValueError, match="exactly the associated complex"):
+        critical_discrepancy(triangle, h)
+    with pytest.raises(ValueError, match="exactly the associated complex"):
+        critical_discrepancy(triangle, h, _critical=((), ()))
+    assert critical_discrepancy(on_delta, h) == ()
+    # ΔH as a plain hypergraph is the same host
+    plain = MorseFunction(Hypergraph(h.vertex_set, on_delta.host.edges), on_delta.values)
+    assert critical_discrepancy(plain, h) == ()
+    wrong_hosts = [
+        # other vertex labels
+        Hypergraph.from_labels(["a", "b"], [["a"], ["b"], ["a", "b"]]),
+        # not downward closed
+        Hypergraph.from_labels(names, [["a"], ["a", "b"]]),
+        # closed, but missing the edge c of h + c
+        Hypergraph.from_labels(names, [["a"], ["b"], ["a", "b"]]),
+    ]
+    h_c = Hypergraph.from_labels(names, [["a"], ["b"], ["c"], ["a", "b"]])
+    for host, target in zip(wrong_hosts, (h, h, h_c)):
+        f = MorseFunction(host, {e: Fraction(len(e) - 1) for e in host.edges})
+        with pytest.raises(ValueError, match="exactly the associated complex"):
+            critical_discrepancy(f, target)
+
+
 def test_discrepancy_random_restriction_setups():
     rng = random.Random(61)
     for _ in range(50):
