@@ -310,8 +310,12 @@ def _cmd_homology(args, out):
     return _report("homology", raw, coeff, result, _notes_for(h), args.timestamp)
 
 
-def _morse_host(args, h, values, delta):
-    if args.on == "assoc":
+def _morse_host(on, h, values, delta):
+    """The Morse function of the document's values on the host named by on:
+    "assoc" (ΔH, which the values must cover), "lower" or "hyper"."""
+    if values is None:
+        raise InvalidDocumentError("this command needs a 'morse' block")
+    if on == "assoc":
         missing = [e for e in delta.edges if e not in values]
         if missing:
             raise InvalidDocumentError(
@@ -319,7 +323,7 @@ def _morse_host(args, h, values, delta):
                 % [delta.edge_key(e) for e in missing]
             )
         return morse.MorseFunction(delta, {e: values[e] for e in delta.edges})
-    if args.on == "lower":
+    if on == "lower":
         lower = hypercore.lower_complex(h)
         return morse.MorseFunction(lower, {e: values[e] for e in lower.edges})
     return morse.MorseFunction(h, {e: values[e] for e in h.edges})
@@ -339,9 +343,7 @@ def _violations_to_json(h, violations):
 def _cmd_morse(args, out):
     doc, raw = _load_json(args.file)
     h, values, delta = _parse_document(doc)
-    if values is None:
-        raise InvalidDocumentError("this command needs a 'morse' block")
-    f = _morse_host(args, h, values, delta)
+    f = _morse_host(args.on, h, values, delta)
     host = f.host
     result = {"on": args.on}
     if args.sub == "check":
@@ -361,13 +363,12 @@ def _cmd_morse(args, out):
     elif args.sub == "gradient":
         field = morse.gradient(f)
         glm = morse.linear_map(field, Z)
-        ok, cycle = morse.is_acyclic(field)
         result["pairs"] = [
             [host.edge_key(a), host.edge_key(b)] for a, b in field.pairs
         ]
         result["proper"] = morse.is_proper(field)
-        result["semi_proper"] = morse._semi_proper(field, ok, glm)
-        result["acyclic"] = ok
+        result["semi_proper"] = morse.is_semi_proper(field)
+        result["acyclic"] = morse.is_acyclic(field)[0]
         result["linear_map"] = {
             str(n): [[x for x in row] for row in glm.matrices[n].data]
             for n in range(len(glm.matrices))
@@ -423,17 +424,16 @@ def _load_morphism(args):
 
 def _cmd_map(args, out):
     phi, raw = _load_morphism(args)
-    assoc_map = _assoc_map(phi)
+    # the morphism check comes before --coeff is read
+    morphisms.induced_assoc_map(phi)
     coeff = CoeffSpec.parse(args.coeff)
     result = {"valid": True}
     kinds = ["lower", "embedded", "assoc"] if args.induced == "all" else [args.induced]
     induced = {}
-    # one object per document: the diagram check reuses the complexes, bases
-    # and induced matrices built for the maps
-    maps = morphisms._InducedMaps(phi, coeff, assoc_map)
-    src_delta, dst_delta = maps.deltas
+    # the maps and the diagram check share the complexes, bases and induced
+    # matrices kept on phi
     for kind in kinds:
-        hm = maps.homology_map(kind)
+        hm = morphisms.induced_homology_map(phi, kind, coeff)
         induced[kind] = {
             "degrees": {
                 str(n): {
@@ -444,50 +444,29 @@ def _cmd_map(args, out):
                 for n in range(len(hm.matrices))
             },
             "source_basis": [
-                [_chain_to_json(src_delta, dict(rep)) for rep in level]
+                [_chain_to_json(phi.source, dict(rep)) for rep in level]
                 for level in hm.source_basis
             ],
             "target_basis": [
-                [_chain_to_json(dst_delta, dict(rep)) for rep in level]
+                [_chain_to_json(phi.target, dict(rep)) for rep in level]
                 for level in hm.target_basis
             ],
         }
     result["induced"] = induced
     if args.check_diagram:
-        commutes, failing = maps.diagram()
+        commutes, failing = morphisms.check_commuting_diagram(phi, coeff)
         result["diagram_commutes"] = commutes
         result["failing_square"] = list(failing) if failing else None
     return _report("map", raw, coeff, result, [], args.timestamp)
 
 
-def _assoc_map(phi):
-    """The simplicial map of phi between the associated complexes; building
-    it is the morphism check, whose failure names the edge by its labels."""
-    try:
-        return morphisms.induced_assoc_map(phi)
-    except MorphismError as exc:
-        bad = exc.offending_edge
-        raise MorphismError(
-            "not a morphism: edge %r has no image" % (phi.source.edge_key(bad),), bad
-        ) from None
-
-
 def _cmd_discrepancy(args, out):
     doc, raw = _load_json(args.file)
     h, values, delta = _parse_document(doc)
-    if values is None:
-        raise InvalidDocumentError("this command needs a 'morse' block")
-    missing = [e for e in delta.edges if e not in values]
-    if missing:
-        raise InvalidDocumentError(
-            "morse block must cover the associated complex; missing %s"
-            % [delta.edge_key(e) for e in missing]
-        )
-    f_bar = morse.MorseFunction(delta, {e: values[e] for e in delta.edges})
-    f = morse.restrict(f_bar, h)
+    f_bar = _morse_host("assoc", h, values, delta)
     m_bar = morse.critical_set(f_bar).critical
-    m_low = morse.critical_set(f).critical
-    tagged = morse.critical_discrepancy(f_bar, h, _critical=(m_bar, m_low))
+    m_low = morse.critical_set(morse.restrict(f_bar, h)).critical
+    tagged = morse.critical_discrepancy(f_bar, h)
     inter = [e for e in m_bar if h.contains_edge(e)]
     result = {
         "critical_assoc": _edge_keys(delta, m_bar),

@@ -7,18 +7,20 @@ usual degenerate-image and orientation-sign conventions, and homomorphisms
 between the three homology groups fitting in a commuting diagram with the
 inclusion-induced maps.  Induced maps are computed over field coefficients.
 
-One private object per morphism and field holds the diagram's pieces: ΔH of
-both sides, the chain map of the assoc simplicial map, and for each side and
-kind (lower, embedded, assoc) the sub-chain complex of ΔH and its homology
-basis.  Each piece is built once, on first use, so the induced maps and the
-diagram check of one call share them.  The boundary matrices of each ΔH are
-kept on the complex itself (see chains), so its sub-chain complexes and the
-chain map's check read the same ∂_n.
+A morphism keeps what is derived from it, built on first use: the assoc
+simplicial map, which gives ΔH of both sides, and one private object per
+field that holds the rest of the diagram: the chain map of the assoc map,
+and for each side and kind (lower, embedded, assoc) the sub-chain complex of
+ΔH and its homology basis.  So every induced map and the diagram check of
+one morphism share them.  The boundary matrices of each ΔH are kept on the
+complex itself (see chains), so its sub-chain complexes and the chain map's
+check read the same ∂_n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from . import chains, exact, hypercore
 from .chains import HomologyBasis
@@ -28,9 +30,10 @@ from .exact import ExactMatrix
 
 
 class HypergraphMorphism:
-    """A vertex map between hypergraphs; edge images are validated lazily."""
+    """A vertex map between hypergraphs; edge images are validated lazily.
+    vertex_map is read-only: the maps phi induces are kept on phi."""
 
-    __slots__ = ("source", "target", "vertex_map")
+    __slots__ = ("source", "target", "vertex_map", "_memo")
 
     def __init__(self, source, target, vertex_map):
         for name in source.vertex_set.names:
@@ -43,7 +46,8 @@ class HypergraphMorphism:
                 raise MorphismError("unknown target vertex %r" % (image,))
         self.source = source
         self.target = target
-        self.vertex_map = dict(vertex_map)
+        self.vertex_map = MappingProxyType(dict(vertex_map))
+        self._memo = {}
 
     def index_map(self):
         src = self.source.vertex_set
@@ -88,7 +92,9 @@ class SimplicialMap:
 def _as_simplicial_map(phi, complex_of):
     ok, bad = validate_morphism(phi)
     if not ok:
-        raise MorphismError("not a morphism: edge %r has no image" % (bad,), bad)
+        raise MorphismError(
+            "not a morphism: edge %r has no image" % (phi.source.edge_key(bad),), bad
+        )
     source_complex, target_complex = complex_of(phi.source), complex_of(phi.target)
     sm = SimplicialMap(source_complex, target_complex, tuple(phi.index_map()))
     for simplex in source_complex.edges:
@@ -100,8 +106,8 @@ def _as_simplicial_map(phi, complex_of):
 
 
 def induced_assoc_map(phi):
-    """The simplicial map between the associated complexes."""
-    return _as_simplicial_map(phi, hypercore.delta_closure)
+    """The simplicial map between the associated complexes, kept on phi."""
+    return hypercore.derived(phi, "assoc", _as_simplicial_map, phi, hypercore.delta_closure)
 
 
 def induced_lower_map(phi):
@@ -182,20 +188,20 @@ class _InducedMaps:
     """The objects of one morphism's diagram over one field, each built once.
 
     Constructing it checks the field and then the morphism, through the
-    assoc simplicial map, which also gives ΔH of both sides; a caller that
-    has built induced_assoc_map(phi) passes it as assoc_map.  The chain map
-    of the assoc map, the sub-chain complex and homology basis of each side
-    and kind, and the induced matrices of each kind are built on first use.
-    Every sub-chain complex lives in ΔH of its own side, so one chain map of
-    the ΔH serves all three kinds.
+    assoc simplicial map kept on phi, which also gives ΔH of both sides.
+    The chain map of the assoc map, the sub-chain complex and homology basis
+    of each side and kind, and the induced matrices of each kind are built
+    on first use.  Every sub-chain complex lives in ΔH of its own side, so
+    one chain map of the ΔH serves all three kinds.  Read it through
+    _induced, which keeps one per field on phi.
     """
 
-    def __init__(self, phi, coeff, assoc_map=None):
+    def __init__(self, phi, coeff):
         if not coeff.is_field:
             raise ValueError("induced homology maps need field coefficients")
         self.coeff = coeff
         self.hypergraphs = (phi.source, phi.target)
-        self.assoc_map = induced_assoc_map(phi) if assoc_map is None else assoc_map
+        self.assoc_map = induced_assoc_map(phi)
         self.deltas = (self.assoc_map.source, self.assoc_map.target)
         self.top = max(self.deltas[0].max_dimension(), self.deltas[1].max_dimension())
         self._chain_map = None
@@ -263,18 +269,24 @@ class _InducedMaps:
         return (True, None)
 
 
+def _induced(phi, coeff):
+    """The _InducedMaps of phi over the field coeff, built once and kept on phi."""
+    return hypercore.derived(phi, ("induced", coeff), _InducedMaps, phi, coeff)
+
+
 def induced_homology_map(phi, which, coeff=Q):
     """Matrix of the induced homology map for 'lower', 'embedded' or 'assoc'.
 
     The embedded case restricts the associated-complex chain map to the
     infimum complexes; that the image stays inside the target infimum complex
-    is verified at runtime."""
-    return _InducedMaps(phi, coeff).homology_map(which)
+    is verified at runtime.  Every call on phi shares the objects kept on it."""
+    return _induced(phi, coeff).homology_map(which)
 
 
 def check_commuting_diagram(phi, coeff=Q):
     """Verify both squares relating the induced maps and the inclusion-induced
-    maps on homology; returns (True, None) or (False, (square, degree))."""
+    maps on homology; returns (True, None) or (False, (square, degree)).
+    It reuses the complexes, bases and induced matrices kept on phi."""
     if not coeff.is_field:
         raise ValueError("the diagram check needs field coefficients")
-    return _InducedMaps(phi, coeff).diagram()
+    return _induced(phi, coeff).diagram()

@@ -6,8 +6,11 @@ most one face with a value not below its own, counted inside the hypergraph.
 Gradient fields pair faces with cofaces; properness, semi-properness and the
 no-closed-path condition are checked combinatorially and cross-validated
 against the induced degree-raising linear map.  Every operation is a pure
-function; the one scan of a function's values that the Morse check and the
-analyses read is kept on the (immutable) MorseFunction.
+function.  What the analyses share is kept on the immutable object it comes
+from, built on first use: on a MorseFunction the one scan of its values, its
+critical report and its restrictions; on a GradientField its linear map per
+ring and its acyclicity check.  Callers share them by calling the public
+functions again.
 """
 
 from __future__ import annotations
@@ -144,25 +147,44 @@ def _require_morse(f):
 @dataclass(frozen=True)
 class CriticalReport:
     critical: tuple
-    witnesses: dict  # non-critical edge -> {"low_cofaces": (...), "high_faces": (...)}
+    # read-only: non-critical edge -> {"low_cofaces": (...), "high_faces": (...)}
+    witnesses: MappingProxyType
 
 
 def critical_set(f):
     """Critical hyperedges: no coface at a value not above, no face at a value
-    not below.  Witnesses explain every non-critical edge."""
+    not below.  Witnesses explain every non-critical edge.  The report is
+    kept on f."""
+    return _critical(f)
+
+
+def _critical(f):
+    """The critical report of f, built once and kept on it."""
+    return hypercore.derived(f, "critical", _critical_report, f)
+
+
+def _critical_report(f):
     low, high = _require_morse(f)
     critical = []
     witnesses = {}
     for alpha in f.host.edges:
         if low[alpha] or high[alpha]:
-            witnesses[alpha] = {"low_cofaces": tuple(low[alpha]), "high_faces": tuple(high[alpha])}
+            witnesses[alpha] = MappingProxyType(
+                {"low_cofaces": tuple(low[alpha]), "high_faces": tuple(high[alpha])}
+            )
         else:
             critical.append(alpha)
-    return CriticalReport(tuple(critical), witnesses)
+    return CriticalReport(tuple(critical), MappingProxyType(witnesses))
 
 
 def restrict(f, sub):
-    """Restriction of a Morse function to a sub-hypergraph (Morse again)."""
+    """Restriction of a Morse function to a sub-hypergraph (Morse again),
+    kept on f.  An equal Hypergraph and SimplicialComplex each get their own,
+    so the restriction's host has the type of sub."""
+    return hypercore.derived(f, ("restrict", type(sub), sub), _restriction, f, sub)
+
+
+def _restriction(f, sub):
     if sub.vertex_set != f.host.vertex_set:
         raise ValueError("restriction requires the same vertex set")
     if not all(f.host.contains_edge(e) for e in sub.edges):
@@ -173,7 +195,7 @@ def restrict(f, sub):
 class GradientField:
     """A set of face/coface pairs (alpha, beta) with dim beta = dim alpha + 1."""
 
-    __slots__ = ("host", "pairs")
+    __slots__ = ("host", "pairs", "_memo")
 
     def __init__(self, host, pairs):
         canon = set()
@@ -186,6 +208,7 @@ class GradientField:
             canon.add((a, b))
         self.host = host
         self.pairs = tuple(sorted(canon, key=lambda p: (edge_sort_key(p[0]), edge_sort_key(p[1]))))
+        self._memo = {}
 
     def __eq__(self, other):
         return (
@@ -225,7 +248,12 @@ class GradedLinearMap:
 
 def linear_map(v, coeff=Z):
     """Matrix family of the induced map: a matched face goes to minus the
-    incidence number times its coface, summed over all pairs containing it."""
+    incidence number times its coface, summed over all pairs containing it.
+    Kept on v per ring."""
+    return hypercore.derived(v, ("linear_map", coeff), _linear_map, v, coeff)
+
+
+def _linear_map(v, coeff):
     host = v.host
     top = host.max_dimension()
     by_pair = {}
@@ -287,8 +315,12 @@ def is_acyclic(v):
     A closed path chains steps alpha_i, beta_i, alpha_{i+1} where the upper
     edge beta_i is matched with both alpha_i and alpha_{i+1} != alpha_i; the
     minimal cycle walks one doubly-matched upper edge back and forth.  The
-    witness is the lexicographically least such minimal cycle.
+    witness is the lexicographically least such minimal cycle.  Kept on v.
     """
+    return hypercore.derived(v, "acyclic", _acyclic, v)
+
+
+def _acyclic(v):
     matched_faces = {}
     for a, b in v.pairs:
         matched_faces.setdefault(b, []).append(a)
@@ -310,19 +342,13 @@ def is_acyclic(v):
 def is_semi_proper(v):
     """No chained pairs gamma < alpha < beta with both pairs in the field;
     cross-validated against the square of the induced linear map being zero
-    whenever the field is acyclic."""
-    acyclic = is_acyclic(v)[0]
-    return _semi_proper(v, acyclic, linear_map(v, Z) if acyclic else None)
-
-
-def _semi_proper(v, acyclic, glm):
-    """is_semi_proper for a caller that already has is_acyclic(v)[0] and,
-    when that holds, linear_map(v, Z) as glm."""
+    whenever the field is acyclic.  Reads the linear map and the acyclicity
+    check kept on v."""
     uppers = {b for _, b in v.pairs}
     lowers = {a for a, _ in v.pairs}
     combinatorial = not (uppers & lowers)
-    if acyclic:
-        algebraic = glm.square_is_zero()
+    if is_acyclic(v)[0]:
+        algebraic = linear_map(v, Z).square_is_zero()
         if combinatorial != algebraic:
             raise InternalConsistencyError(
                 "semi-properness check disagrees with the squared linear map"
@@ -491,21 +517,9 @@ def search_extension(f, grid_levels=None, max_unknowns=6):
 def critical_via_gradient(f):
     """Critical edges read off the induced linear map of the gradient: edges
     with zero column that are not (up to sign) the image of any edge."""
-    _require_morse(f)
-    glm = linear_map(gradient(f), Z)
-    host = f.host
-    image_targets = set()
-    zero_column = set()
-    for n, mat in enumerate(glm.matrices):
-        dom = host.edges_of_dim(n)
-        cod = host.edges_of_dim(n + 1)
-        for alpha, col in zip(dom, mat.transpose().entries):
-            sig = _column_signature(col)
-            if sig is None:
-                zero_column.add(alpha)
-            else:
-                image_targets.add(cod[sig[0]])
-    return tuple(e for e in host.edges if e in zero_column and e not in image_targets)
+    image = _column_images(gradient(f))
+    targets = set(image.values())
+    return tuple(e for e in f.host.edges if image[e] is None and e not in targets)
 
 
 def extend_gradient(v, to):
@@ -523,17 +537,19 @@ def extend_gradient(v, to):
     return GradientField(to, v.pairs)
 
 
-def _column_signature(col):
-    """(edge_row_index, sign) when the column, a {row: value} dict of its
-    non-zeros, is plus/minus a unit vector, None when zero; anything else
-    is impossible for Morse-derived fields."""
-    if not col:
-        return None
-    if len(col) == 1:
-        ((i, x),) = col.items()
-        if x in (1, -1):
-            return (i, x)
-    raise InternalConsistencyError("gradient column is not a signed unit vector")
+def _column_images(v):
+    """{edge: the cell its column of linear_map(v, Z) sends it to, or None
+    for a zero column}.  Each column of a Morse gradient's map is zero or
+    plus/minus a unit vector; anything else raises."""
+    host = v.host
+    image = {}
+    for n, mat in enumerate(linear_map(v, Z).matrices):
+        cod = host.edges_of_dim(n + 1)
+        for alpha, col in zip(host.edges_of_dim(n), mat.transpose().entries):
+            if len(col) > 1 or any(x not in (1, -1) for x in col.values()):
+                raise InternalConsistencyError("gradient column is not a signed unit vector")
+            image[alpha] = cod[next(iter(col))] if col else None
+    return image
 
 
 def _is_closure_of(host, h):
@@ -549,7 +565,7 @@ def _is_closure_of(host, h):
     return all(h.contains_edge(e) for e in host.edges if e not in covered)
 
 
-def critical_discrepancy(f_bar, h, _critical=None):
+def critical_discrepancy(f_bar, h):
     """Critical edges of the restriction that are not critical upstairs,
     classified by the behaviour of the ambient gradient map.
 
@@ -557,27 +573,17 @@ def critical_discrepancy(f_bar, h, _critical=None):
     it; (ii) matched into the complement and some complement cell maps onto
     it; (iii) unmatched but some complement cell maps onto it.  The set is
     computed both from the definitions and from this classification; any
-    disagreement raises.  f_bar must live on exactly ΔH of h.  _critical,
-    when given, is the critical edges of f_bar and of its restriction to h,
-    from a caller that has them.
+    disagreement raises.  f_bar must live on exactly ΔH of h.  The critical
+    reports of f_bar and of its restriction to h are the ones kept on them.
     """
-    delta = f_bar.host
-    if not _is_closure_of(delta, h):
+    if not _is_closure_of(f_bar.host, h):
         raise ValueError("the Morse function must live on exactly the associated complex")
-    if _critical is None:
-        _critical = (critical_set(f_bar).critical, critical_set(restrict(f_bar, h)).critical)
-    m_bar, m_low = map(set, _critical)
-    definition_side = m_low - (m_bar & set(h.edges))
-
-    glm = linear_map(gradient(f_bar), Z)
     in_h = set(h.edges)
-    col_of = {}
-    for n, mat in enumerate(glm.matrices):
-        dom = delta.edges_of_dim(n)
-        cod = delta.edges_of_dim(n + 1)
-        for alpha, col in zip(dom, mat.transpose().entries):
-            sig = _column_signature(col)
-            col_of[alpha] = None if sig is None else cod[sig[0]]
+    m_bar = set(_critical(f_bar).critical)
+    m_low = set(_critical(restrict(f_bar, h)).critical)
+    definition_side = m_low - (m_bar & in_h)
+
+    col_of = _column_images(gradient(f_bar))
     preimages = {}
     for tau, target in col_of.items():
         if target is not None:

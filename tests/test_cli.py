@@ -336,7 +336,8 @@ def test_discrepancy_section6(tmp_path, capsys):
 
 def test_extend_and_discrepancy_do_each_step_once(tmp_path, capsys, monkeypatch):
     # extend: one scan of f serves the obstruction and the search;
-    # discrepancy: each critical set once, on the ΔH the parse built
+    # discrepancy: each critical set once, on the ΔH the parse built, and
+    # critical_discrepancy reads the reports kept on f̄ and its restriction
     from hypermorse import morse
 
     counts = collections.Counter()
@@ -351,6 +352,7 @@ def test_extend_and_discrepancy_do_each_step_once(tmp_path, capsys, monkeypatch)
     monkeypatch.setattr(morse, "_scan", counting("scan", morse._scan))
     monkeypatch.setattr(morse, "critical_set", counting("critical_set", morse.critical_set))
     monkeypatch.setattr(hypercore, "delta_closure", counting("closure", hypercore.delta_closure))
+    monkeypatch.setattr(morse, "_critical_report", counting("report", morse._critical_report))
     for doc, verdict in ((DOC_311, "none"), (DOC_315, "none")):
         counts.clear()
         code, out, err = _run(capsys, ["morse", _write(tmp_path, "e.json", doc), "extend"])
@@ -360,6 +362,33 @@ def test_extend_and_discrepancy_do_each_step_once(tmp_path, capsys, monkeypatch)
     code, out, err = _run(capsys, ["discrepancy", _write(tmp_path, "h6.json", SECTION6_DOC)])
     assert code == 0 and _result(out)["discrepancy"] == [{"edge": "v0,v1,v2", "case": "iii"}]
     assert counts["critical_set"] == 2 and counts["closure"] == 1
+    assert counts["scan"] == 2 and counts["report"] == 2
+
+
+def test_morse_gradient_builds_one_linear_map_and_one_acyclicity_check(
+    tmp_path, capsys, monkeypatch
+):
+    # the report and the semi-properness cross-check read the ones kept on
+    # the field
+    from hypermorse import morse
+
+    counts = collections.Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(morse, "_linear_map", counting("linear_map", morse._linear_map))
+    monkeypatch.setattr(morse, "_acyclic", counting("acyclic", morse._acyclic))
+    path = _write(tmp_path, "h6.json", SECTION6_DOC)
+    for on in ("hyper", "assoc", "lower"):
+        counts.clear()
+        code, out, err = _run(capsys, ["morse", path, "gradient", "--on", on])
+        assert code == 0 and _result(out)["semi_proper"] is True
+        assert counts == {"linear_map": 1, "acyclic": 1}
 
 
 def test_discrepancy_requires_full_cover(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import collections
 import random
 from fractions import Fraction
 
@@ -246,3 +247,77 @@ def test_compose_mismatch_rejected(h_226, hp_226):
     psi = HypergraphMorphism(other, other, {"x": "x"})
     with pytest.raises(MorphismError):
         compose(psi, phi)
+
+
+def _count_builds(monkeypatch):
+    from hypermorse import chains, hypercore, morphisms
+
+    counts = collections.Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(hypercore, "delta_closure", counting("closure", hypercore.delta_closure))
+    monkeypatch.setattr(morphisms, "chain_map", counting("chain_map", morphisms.chain_map))
+    monkeypatch.setattr(
+        chains.HomologyBasis, "__init__", counting("basis", chains.HomologyBasis.__init__)
+    )
+    return counts
+
+
+def test_library_calls_on_one_morphism_share_its_objects(monkeypatch, h_226, hp_226):
+    # the CLI's sequence, three maps and the diagram, from the library: the
+    # assoc map and the diagram's objects are kept on phi
+    counts = _count_builds(monkeypatch)
+    phi = _inclusion(h_226, hp_226)
+    for kind in ("lower", "embedded", "assoc"):
+        induced_homology_map(phi, kind, Q)
+    assert check_commuting_diagram(phi, Q) == (True, None)
+    assert counts == {"closure": 2, "chain_map": 1, "basis": 6}
+    # a second, equal morphism keeps its own set
+    counts.clear()
+    again = _inclusion(h_226, hp_226)
+    for kind in ("lower", "embedded", "assoc"):
+        induced_homology_map(again, kind, Q)
+    assert check_commuting_diagram(again, Q) == (True, None)
+    assert counts == {"closure": 2, "chain_map": 1, "basis": 6}
+    # another field builds its own diagram on the kept assoc map
+    counts.clear()
+    assert check_commuting_diagram(phi, prime_field(3)) == (True, None)
+    assert counts == {"chain_map": 1, "basis": 6}
+
+
+def test_removed_morphism_hand_off_stays_removed():
+    # handing one morphism's assoc map to another's diagram gave the swap's
+    # -1 on H_1 for the identity; no call can hand it over now
+    import inspect
+
+    from hypermorse.morphisms import _InducedMaps
+
+    assert list(inspect.signature(_InducedMaps).parameters) == ["phi", "coeff"]
+    names = ["a", "b", "c"]
+    hollow = Hypergraph.from_labels(names, [["a", "b"], ["b", "c"], ["a", "c"]])
+    identity = _identity(hollow)
+    swap = HypergraphMorphism(hollow, hollow, {"a": "b", "b": "a", "c": "c"})
+    with pytest.raises(TypeError):
+        _InducedMaps(identity, Q, induced_assoc_map(swap))
+    for kind in ("embedded", "assoc"):
+        assert induced_homology_map(swap, kind, Q).matrices[1].data == ((-1,),)
+        assert induced_homology_map(identity, kind, Q).matrices[1].data == ((1,),)
+    # the maps kept on phi stay true to its vertex map
+    with pytest.raises(TypeError):
+        identity.vertex_map["a"] = "b"
+
+
+def test_library_names_the_offending_edge_by_its_labels():
+    src = Hypergraph.from_labels(["v0", "v1"], [["v0", "v1"]])
+    dst = Hypergraph.from_labels(["u"], [])
+    phi = HypergraphMorphism(src, dst, {"v0": "u", "v1": "u"})
+    for induced in (induced_assoc_map, induced_lower_map):
+        with pytest.raises(MorphismError, match="^not a morphism: edge 'v0,v1' has no image$") as exc:
+            induced(phi)
+        assert exc.value.offending_edge == (0, 1)

@@ -549,6 +549,7 @@ def test_discrepancy_checks_the_host_without_a_closure(monkeypatch):
     from hypermorse import hypercore
 
     assert "_delta" not in inspect.signature(critical_discrepancy).parameters
+    assert "_critical" not in inspect.signature(critical_discrepancy).parameters
     names = ["a", "b", "c"]
     h = Hypergraph.from_labels(names, [["a"], ["b"], ["a", "b"]])
     triangle = dim_function(delta_closure(Hypergraph.from_labels(names, [["a", "b", "c"]])))
@@ -560,8 +561,6 @@ def test_discrepancy_checks_the_host_without_a_closure(monkeypatch):
     monkeypatch.setattr(hypercore, "delta_closure", refuse)
     with pytest.raises(ValueError, match="exactly the associated complex"):
         critical_discrepancy(triangle, h)
-    with pytest.raises(ValueError, match="exactly the associated complex"):
-        critical_discrepancy(triangle, h, _critical=((), ()))
     assert critical_discrepancy(on_delta, h) == ()
     # ΔH as a plain hypergraph is the same host
     plain = MorseFunction(Hypergraph(h.vertex_set, on_delta.host.edges), on_delta.values)
@@ -686,3 +685,36 @@ def test_restriction_squares_random():
             _, proj = _inclusion_and_projection(delta, h, n + 1)
             lhs = matmul(proj, matmul(r_bar.matrices[n], incl, Z), Z)
             assert lhs == r_mid.matrices[n]
+
+
+def test_analyses_keep_their_results_on_the_objects(fbar_section6, h_section6):
+    import inspect
+
+    from hypermorse.hypercore import SimplicialComplex
+
+    report = critical_set(fbar_section6)
+    assert critical_set(fbar_section6) is report
+    # a kept report is read-only, so no caller can change what the next reads
+    alpha = next(iter(report.witnesses))
+    with pytest.raises(TypeError):
+        report.witnesses[alpha] = {}
+    with pytest.raises(TypeError):
+        report.witnesses[alpha]["low_cofaces"] = ()
+    # one restriction per sub-hypergraph and type: an equal complex and
+    # hypergraph compare equal, yet each restriction keeps its host's type
+    f = restrict(fbar_section6, h_section6)
+    assert restrict(fbar_section6, h_section6) is f and type(f.host) is Hypergraph
+    sub = lower_complex(h_section6)
+    plain = Hypergraph(sub.vertex_set, sub.edges)
+    assert plain == sub
+    assert type(restrict(fbar_section6, sub).host) is SimplicialComplex
+    assert type(restrict(fbar_section6, plain).host) is Hypergraph
+    # the field keeps its linear map per ring and its acyclicity check
+    v = gradient(fbar_section6)
+    assert linear_map(v, Z) is linear_map(v) and is_acyclic(v) is is_acyclic(v)
+    assert linear_map(v, Z) is not linear_map(gradient(fbar_section6), Z)
+    # the hand-offs these replace are gone
+    assert not hasattr(morse, "_semi_proper")
+    assert list(inspect.signature(critical_discrepancy).parameters) == ["f_bar", "h"]
+    with pytest.raises(TypeError):
+        critical_discrepancy(fbar_section6, h_section6, _critical=((), ()))
