@@ -1,19 +1,23 @@
-"""Exact integer elimination kernels.
+"""Exact sparse elimination kernels.
 
 These are the inner loops of the package: the row operation on sparse rows,
-canonical row Hermite normal form, with and without a recorded unimodular
-transform, and the Smith invariant factors of a dense block.  A sparse row
-is a {column: value} dict of its non-zeros.  hnf_rows and
-hnf_rows_with_transform take and return lists of sparse integer rows;
-exact.snf_diagonal cancels unit pivots sparsely and hands only the block
-left without unit entries to snf_decompose, which takes a list of
-equal-length lists of Python ints and carries no transforms.  No kernel
-mutates its input.  Arbitrary precision is relied upon throughout, there is
-no floating point.
+one row echelon routine for Z, Q and Z/p (canonical row Hermite normal form
+over Z, reduced row echelon form over a field, with or without a recorded
+transform) and the Smith invariant factors it yields.  A sparse row is a
+{column: value} dict of its non-zeros.  echelon reduces its rows in place;
+hnf_rows, hnf_rows_with_transform and snf_decompose work on copies and leave
+their input alone.  exact.snf_diagonal cancels unit pivots sparsely and hands
+only the rows left without unit entries to snf_decompose, which alternates
+row and column Hermite forms.  Arbitrary precision is relied upon
+throughout, there is no floating point.
 
-Pivoting follows the fraction-free, minimal-absolute-value strategy: at desk
-scale this keeps intermediate entries small without sacrificing exactness.
+Over Z, pivoting follows the fraction-free, minimal-absolute-value strategy:
+at desk scale this keeps intermediate entries small without sacrificing
+exactness.
 """
+
+import math
+from fractions import Fraction
 
 
 def submul(target, source, q, p=0, col=None, i=0):
@@ -69,18 +73,47 @@ def column_index(rows):
     return col
 
 
-def _hnf(rows, transform):
-    """Row HNF of a list of sparse integer rows, reduced in place.
+def _scaled(row, x, p):
+    """row times x, reduced mod p when p is non-zero."""
+    if p:
+        return {j: y * x % p for j, y in row.items()}
+    return {j: y * x for j, y in row.items()}
 
-    Returns (rows, u): the non-zero rows of the canonical form come first
-    and the rest are empty; u (sparse rows, None unless transform) is
-    unimodular with u * input = rows.  Each column is cleared by its entry of
-    least absolute value at or below the next pivot row (ties to the lowest
-    row), so the steps, and u, are those of the dense textbook loop.
+
+def _clear(rows, u, col, r, c, targets, p):
+    """Subtract from each target row the multiple of pivot row r that reduces
+    its entry in column c, and the same multiple of u[r] from u[i]: the floor
+    quotient by the pivot over Z (p None), the entry itself over a field,
+    whose pivot is 1."""
+    prow = rows[r]
+    a = prow[c]
+    mod = p or 0
+    for i in targets:
+        q = rows[i][c] // a if p is None else rows[i][c]
+        if q:
+            submul(rows[i], prow, q, mod, col, i)
+            if u is not None:
+                submul(u[i], u[r], q, mod)
+
+
+def echelon(rows, p=None, transform=False):
+    """Row echelon form of sparse rows, reduced in place: the canonical HNF
+    over Z (p None), the RREF over Q (p 0) or over Z/p (a prime p, entries
+    canonical residues).
+
+    Column by column, over Z the pivot is the entry of least absolute value
+    at or below the next pivot row (ties to the lowest row), cleared below by
+    Euclidean steps until it is alone, made positive, and the entries above
+    it reduced into [0, pivot).  Over a field it is the first row at or below,
+    scaled to 1 and cleared from every other row.  These are the steps of the
+    dense textbook loops.  Returns (u, pivots): u (sparse rows, None unless
+    transform) with u * input = rows, and the (row, column) pairs of the
+    pivots; the rows after the last pivot are empty.
     """
     m = len(rows)
     u = [{i: 1} for i in range(m)] if transform else None
     col = column_index(rows)
+    pivots = []
     r = 0
     # row operations only add entries in columns that already hold one, so
     # the columns with an entry are known up front
@@ -89,49 +122,41 @@ def _hnf(rows, transform):
             break
         here = col[c]
         while True:
-            piv = -1
-            best = 0
-            for i in here:
-                if i >= r:
-                    a = abs(rows[i][c])
-                    if piv < 0 or a < best or (a == best and i < piv):
-                        piv = i
-                        best = a
-            if piv < 0:
+            below = [i for i in here if i >= r]
+            if not below:
                 break
+            if p is None:
+                piv = min(below, key=lambda i: (abs(rows[i][c]), i))
+            else:
+                piv = min(below)
             if piv != r:
                 swap_rows(rows, col, r, piv)
                 if transform:
                     u[r], u[piv] = u[piv], u[r]
-            prow = rows[r]
-            a = prow[c]
-            clean = True
-            for i in [i for i in here if i > r]:
-                q = rows[i][c] // a
-                if q:
-                    submul(rows[i], prow, q, 0, col, i)
+            a = rows[r][c]
+            if p is not None:
+                if a != 1:
+                    inv = pow(a, p - 2, p) if p else 1 / Fraction(a)
+                    rows[r] = _scaled(rows[r], inv, p)
                     if transform:
-                        submul(u[i], u[r], q)
-                if c in rows[i]:
-                    clean = False
-            if clean:
+                        u[r] = _scaled(u[r], inv, p)
+                if len(here) > 1:
+                    _clear(rows, u, col, r, c, [i for i in here if i != r], p)
+            else:
+                if len(below) > 1:
+                    _clear(rows, u, col, r, c, [i for i in here if i > r], p)
+                    if any(i > r for i in here):
+                        continue  # a remainder, smaller than the pivot, pivots next
                 if a < 0:
-                    for j in prow:
-                        prow[j] = -prow[j]
+                    rows[r] = _scaled(rows[r], -1, 0)
                     if transform:
-                        urow = u[r]
-                        for j in urow:
-                            urow[j] = -urow[j]
-                    a = -a
-                for i in [i for i in here if i < r]:
-                    q = rows[i][c] // a
-                    if q:
-                        submul(rows[i], prow, q, 0, col, i)
-                        if transform:
-                            submul(u[i], u[r], q)
-                r += 1
-                break
-    return rows, u
+                        u[r] = _scaled(u[r], -1, 0)
+                if len(here) > 1:
+                    _clear(rows, u, col, r, c, [i for i in here if i < r], p)
+            pivots.append((r, c))
+            r += 1
+            break
+    return u, pivots
 
 
 def hnf_rows(rows):
@@ -142,7 +167,8 @@ def hnf_rows(rows):
     above a pivot is reduced into [0, pivot).  Two integer matrices have the
     same row lattice iff their canonical forms are identical.
     """
-    h, _ = _hnf([dict(row) for row in rows], False)
+    h = [dict(row) for row in rows]
+    echelon(h)
     return [row for row in h if row]
 
 
@@ -153,84 +179,39 @@ def hnf_rows_with_transform(rows):
     square); the rows of u opposite zero rows of h form a basis of the
     left-kernel lattice.
     """
-    return _hnf([dict(row) for row in rows], True)
+    h = [dict(row) for row in rows]
+    u, _ = echelon(h, transform=True)
+    return h, u
 
 
-def _row_submul(target, source, q, start):
-    for j in range(start, len(target)):
-        s = source[j]
-        if s:
-            target[j] -= q * s
+def _transpose(rows):
+    """The non-empty columns of sparse rows, in order, as sparse rows."""
+    out = {}
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            out.setdefault(j, {})[i] = x
+    return [out[j] for j in sorted(out)]
 
 
-def snf_decompose(mat):
-    """The non-zero invariant factors of mat, in divisibility order.
-
-    These are the non-zero diagonal entries of the Smith normal form: all
+def snf_decompose(rows):
+    """The non-zero invariant factors of sparse integer rows, in divisibility
+    order: the non-zero diagonal entries of the Smith normal form, all
     positive, each dividing the next.
+
+    Row HNFs of the rows and of their transpose alternate until each row has
+    one entry (Kannan and Bachem 1979); the entries are then the diagonal of
+    an equivalent matrix, and replacing each pair (d_i, d_j), i < j, in order
+    by (gcd, lcm) puts them in divisibility order.  The alternation ends:
+    each pass keeps the equivalence class, and the first pivot not yet alone
+    in its row and column shrinks, because a remainder below it pivots next,
+    until it divides its row and column; from then on every pass leaves it
+    alone.
     """
-    d = [list(row) for row in mat]
-    m = len(d)
-    n = len(d[0]) if m else 0
-    out = []
-    for t in range(min(m, n)):
-        while True:
-            # an entry of least absolute value in the block becomes the pivot;
-            # ties go to (t, t), so after a fold the pivot stays and clearing
-            # row t leaves a smaller remainder: every round shrinks the pivot
-            piv_i = -1
-            piv_j = -1
-            best = 0
-            for i in range(t, m):
-                di = d[i]
-                for j in range(t, n):
-                    a = di[j]
-                    if a:
-                        if a < 0:
-                            a = -a
-                        if piv_i < 0 or a < best:
-                            piv_i = i
-                            piv_j = j
-                            best = a
-            if piv_i < 0:
-                return out
-            if piv_i != t:
-                d[t], d[piv_i] = d[piv_i], d[t]
-            if piv_j != t:
-                for row in d:
-                    row[t], row[piv_j] = row[piv_j], row[t]
-            # clear column t below the pivot, then row t to its right; a
-            # remainder is smaller than the pivot and becomes the next one
-            a = d[t][t]
-            dirty = False
-            for i in range(t + 1, m):
-                if d[i][t]:
-                    _row_submul(d[i], d[t], d[i][t] // a, t)
-                    if d[i][t]:
-                        dirty = True
-            if dirty:
-                continue
-            prow = d[t]
-            for j in range(t + 1, n):
-                if prow[j]:
-                    prow[j] %= a
-                    if prow[j]:
-                        dirty = True
-            if dirty:
-                continue
-            # divisibility: the pivot must divide every remaining entry;
-            # otherwise fold the offending row into row t and go again
-            bad_i = -1
-            for i in range(t + 1, m):
-                di = d[i]
-                for j in range(t + 1, n):
-                    if di[j] % a:
-                        bad_i = i
-                        break
-                if bad_i >= 0:
-                    break
-            if bad_i < 0:
-                break
-            _row_submul(d[t], d[bad_i], -1, t)
-        out.append(abs(d[t][t]))
-    return out
+    h = hnf_rows(rows)
+    while any(len(row) > 1 for row in h):
+        h = hnf_rows(_transpose(h))
+    d = [x for row in h for x in row.values()]
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            d[i], d[j] = math.gcd(d[i], d[j]), math.lcm(d[i], d[j])
+    return d

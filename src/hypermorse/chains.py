@@ -44,28 +44,6 @@ def incidence(beta, alpha):
     return -1 if omitted % 2 else 1
 
 
-@dataclass(frozen=True)
-class GradedBasis:
-    """Per-degree ordered edge lists: the canonical basis of the chain groups."""
-
-    by_degree: tuple
-
-    @classmethod
-    def of(cls, h, top_degree=None):
-        if top_degree is None:
-            top_degree = h.max_dimension()
-        return cls(tuple(h.edges_of_dim(n) for n in range(top_degree + 1)))
-
-    def degree(self, n):
-        if 0 <= n < len(self.by_degree):
-            return self.by_degree[n]
-        return ()
-
-    @property
-    def top(self):
-        return len(self.by_degree) - 1
-
-
 def boundary_matrix(complex_, n, coeff):
     """Matrix of the degree-n boundary map of a simplicial complex, from the
     canonical n-simplex basis to the (n-1)-simplex basis."""
@@ -125,16 +103,15 @@ class SubChainComplex:
     MalformedSubcomplexError when a boundary leaves the span below.
     """
 
-    __slots__ = ("ambient", "coeff", "ambient_basis", "basis", "restricted", "_solvers")
+    __slots__ = ("ambient", "coeff", "basis", "restricted", "_solvers")
 
     def __init__(self, ambient, coeff, basis):
         self.ambient = ambient
         self.coeff = coeff
-        self.ambient_basis = GradedBasis.of(ambient)
-        top = self.ambient_basis.top
+        top = ambient.max_dimension()
         basis = list(basis)
         while len(basis) < top + 1:
-            basis.append(ExactMatrix.zeros(len(self.ambient_basis.degree(len(basis))), 0))
+            basis.append(ExactMatrix.zeros(len(ambient.edges_of_dim(len(basis))), 0))
         self.basis = tuple(basis)
         self._solvers = [None] * (top + 1)
         zero = coeff.normalize(0)
@@ -169,7 +146,7 @@ class SubChainComplex:
 
     @property
     def top(self):
-        return self.ambient_basis.top
+        return self.ambient.max_dimension()
 
     def rank_at(self, n):
         if 0 <= n <= self.top:

@@ -300,7 +300,7 @@ def _cmd_homology(args, out):
         result.update(_homology_to_json(chains.subcomplex_homology(scc)))
         bases = {}
         for n in range(scc.top + 1):
-            edges = scc.ambient_basis.degree(n)
+            edges = scc.ambient.edges_of_dim(n)
             cols = [
                 _chain_to_json(delta, {edges[i]: x for i, x in col.items()})
                 for col in scc.basis[n].transpose().entries

@@ -7,28 +7,28 @@ views `data`, `row_lists()` and `column()` are built on demand, for the
 public API and for small printed results; the homology path never builds
 them.  Products, transposes, stacks and the zero test run on the non-zeros.
 
-Ranks and Smith invariant factors come from one sparse elimination,
-parameterised by ring, that takes its pivots in Markowitz order from a heap
-of costs re-keyed lazily, only for the entries a row operation created or
-changed: over Z only ±1 entries pivot and the block left without unit
-entries goes to _kernel.snf_decompose; over Z/p every non-zero pivots; over
-Q each row is scaled to integers and the rank is the number of non-zero
-invariant factors.
+There are two eliminations, each written once for Z, Q and Z/p.  Ranks
+and Smith invariant factors come from _markowitz, which takes its pivots in
+Markowitz order from a heap of costs re-keyed lazily, only for the entries a
+row operation created or changed: over Z only ±1 entries pivot and the rows
+left without unit entries go, still sparse, to _kernel.snf_decompose; over
+Z/p every non-zero pivots; over Q each row is scaled to integers and the
+rank is the number of non-zero invariant factors.
 
 Canonical bases make span-level statements testable as structural matrix
 equality: column Hermite normal form over Z (_kernel.hnf_rows) and reduced
-column echelon form over fields, both on the sparse rows.  The same row
-reductions, with their transforms, factor the basis of a ColumnSolver, all
-but its unit columns (e_p with nothing else on row p), whose coefficients
-are read off the vector.  A matrix with no rows has the identity as its
-kernel basis, with no elimination.
+column echelon form over fields, both from _kernel.echelon, which takes its
+pivots in column order.  The same row reductions, with their transforms,
+factor the basis of a ColumnSolver, all but its unit columns (e_p with
+nothing else on row p), whose coefficients are read off the vector.  A
+matrix with no rows has the identity as its kernel basis, with no
+elimination.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from fractions import Fraction
 
 from . import _kernel
 from .coeffs import CoeffSpec
@@ -174,17 +174,23 @@ class ExactMatrix:
         return "ExactMatrix(%dx%d)" % (self.rows, self.cols)
 
 
-def normalize(m, coeff):
+def _normalized(rows, coeff):
+    """Fresh sparse rows of the canonical values of rows' entries, those that
+    vanish dropped."""
     norm = coeff.normalize
-    entries = []
-    for r in m.entries:
+    out = []
+    for r in rows:
         row = {}
         for j, x in r.items():
             x = norm(x)
             if x:
                 row[j] = x
-        entries.append(row)
-    return ExactMatrix.from_sparse(m.rows, m.cols, entries, norm(0))
+        out.append(row)
+    return out
+
+
+def normalize(m, coeff):
+    return ExactMatrix.from_sparse(m.rows, m.cols, _normalized(m.entries, coeff), coeff.normalize(0))
 
 
 def matmul(a, b, coeff):
@@ -224,72 +230,17 @@ def matvec(a, vec, coeff):
     return out
 
 
-# ---------------------------------------------------------------------------
-# field elimination (Q via Fractions, Z/p via canonical residues)
-
-
-def _field_rows(m, coeff):
-    """Fresh sparse rows of m for field elimination: residues mod p over Z/p
-    (entries that vanish dropped), copies over Q."""
-    if coeff.kind == "Q":
-        return [dict(r) for r in m.entries]
-    return list(normalize(m, coeff).entries)
-
-
-def _rref(rows, coeff, transform=False):
-    """Reduced row echelon form over a field of sparse rows, in place.
-
-    Column by column, the pivot is the first row at or below the current one
-    with a non-zero there (the dense textbook order); it is scaled to 1 and
-    cleared from every other row.  Returns (u, pivots): u (sparse rows, None
-    unless transform) with u * input = rows, and the (row, column) pairs of
-    the pivots; the rows after the last pivot are empty.
-    """
-    p = coeff.p if coeff.kind == "Zp" else 0
-    m = len(rows)
-    u = [{i: 1} for i in range(m)] if transform else None
-    col = _kernel.column_index(rows)
-    pivots = []
-    r = 0
-    for c in sorted(col):
-        if r == m:
-            break
-        piv = min((i for i in col[c] if i >= r), default=-1)
-        if piv < 0:
-            continue
-        if piv != r:
-            _kernel.swap_rows(rows, col, r, piv)
-            if transform:
-                u[r], u[piv] = u[piv], u[r]
-        prow = rows[r]
-        a = prow[c]
-        if a != 1:
-            if p:
-                inv = pow(a, p - 2, p)
-                prow = {j: x * inv % p for j, x in prow.items()}
-                if transform:
-                    u[r] = {j: x * inv % p for j, x in u[r].items()}
-            else:
-                inv = 1 / Fraction(a)
-                prow = {j: x * inv for j, x in prow.items()}
-                if transform:
-                    u[r] = {j: x * inv for j, x in u[r].items()}
-            rows[r] = prow
-        for i in [i for i in col[c] if i != r]:
-            q = rows[i][c]
-            _kernel.submul(rows[i], prow, q, p, col, i)
-            if transform:
-                _kernel.submul(u[i], u[r], q, p)
-        pivots.append((r, c))
-        r += 1
-    return u, pivots
+def _modulus(coeff):
+    """The modulus of row operations over coeff: p over Z/p, else 0 (which is
+    also _kernel.echelon's p over Q)."""
+    return coeff.p if coeff.kind == "Zp" else 0
 
 
 def pivot_columns(m, coeff):
     """Indices of the columns of m outside the span of the columns before
     them (field coefficients): the greedy rank-increasing choice, read off one
     row reduction."""
-    _, pivots = _rref(_field_rows(m, coeff), coeff)
+    _, pivots = _kernel.echelon(_normalized(m.entries, coeff), _modulus(coeff))
     return [c for _, c in pivots]
 
 
@@ -303,7 +254,7 @@ def _row_basis(rows, ncols, coeff):
     if coeff.kind == "Z":
         h = _kernel.hnf_rows(rows)
     else:
-        _, pivots = _rref(rows, coeff)
+        _, pivots = _kernel.echelon(rows, _modulus(coeff))
         h = rows[: len(pivots)]
     return ExactMatrix.from_sparse(len(h), ncols, h, coeff.normalize(0)).transpose()
 
@@ -313,8 +264,9 @@ def canonical_basis(m, coeff):
 
     Zero columns are dropped; equal spans yield identical matrices.
     """
-    rows_t = m.transpose()
-    rows = rows_t.entries if coeff.kind == "Z" else _field_rows(rows_t, coeff)
+    rows = m.transpose().entries
+    if coeff.kind != "Z":
+        rows = _normalized(rows, coeff)
     return _row_basis(rows, m.rows, coeff)
 
 
@@ -340,8 +292,8 @@ def kernel_basis(m, coeff):
         h, u = _kernel.hnf_rows_with_transform(m.transpose().entries)
         return _row_basis(u[sum(map(bool, h)) :], m.cols, coeff)
     norm = coeff.normalize
-    h = _field_rows(m, coeff)
-    _, pivots = _rref(h, coeff)
+    h = _normalized(m.entries, coeff)
+    _, pivots = _kernel.echelon(h, _modulus(coeff))
     pivot_cols = {c for _, c in pivots}
     one = norm(1)
     rows = {f: {f: one} for f in range(m.cols) if f not in pivot_cols}
@@ -379,13 +331,13 @@ class ColumnSolver:
                     continue
             at.append(j)
             rest.append(col)
-        h, u, pivots = (), (), ()
+        h, u = (), ()
         if rest and coeff.kind == "Z":
             h, u = _kernel.hnf_rows_with_transform(rest)
-            pivots = [(k, min(row)) for k, row in enumerate(h) if row]
         elif rest:
-            h = _field_rows(ExactMatrix.from_sparse(len(rest), basis.rows, rest), coeff)
-            u, pivots = _rref(h, coeff, True)
+            h = _normalized(rest, coeff)
+            u, _ = _kernel.echelon(h, _modulus(coeff), True)
+        pivots = [(k, min(row)) for k, row in enumerate(h) if row]
         if self._unit_of:
             # the transform rows index the factored columns: give the ones a
             # solve reads, those opposite a pivot, the basis's indices
@@ -425,7 +377,7 @@ class ColumnSolver:
                 else:
                     read[c] = x
         over_z = coeff.kind == "Z"
-        p_mod = coeff.p if coeff.kind == "Zp" else 0
+        p_mod = _modulus(coeff)
         weights = []
         while res:
             p = min(res)
@@ -526,20 +478,19 @@ def _markowitz(rows, p=0):
 
 def _smith(rows):
     """The non-zero Smith invariant factors of sparse integer rows (consumed):
-    one 1 per unit pivot, then those of the block left without unit entries,
-    densified on its non-empty columns for _kernel.snf_decompose.  The Smith
-    form is unique, so the result is that of the whole matrix."""
+    one 1 per unit pivot, then those of the rows left without unit entries,
+    from _kernel.snf_decompose.  The Smith form is unique, so the result is
+    that of the whole matrix."""
     units, rest = _markowitz(rows)
     out = [1] * units
     if rest:
-        cols = sorted({j for row in rest for j in row})
-        out.extend(_kernel.snf_decompose([[row.get(j, 0) for j in cols] for row in rest]))
+        out.extend(_kernel.snf_decompose(rest))
     return out
 
 
 def rank(m, coeff):
     if coeff.kind == "Zp":
-        return _markowitz(_field_rows(m, coeff), coeff.p)[0]
+        return _markowitz(_normalized(m.entries, coeff), coeff.p)[0]
     if coeff.kind == "Z":
         return len(snf_diagonal(m))
     rows = []
@@ -553,7 +504,8 @@ def rank(m, coeff):
 def snf_diagonal(m):
     """The non-zero diagonal entries of the Smith normal form, in
     divisibility order: unit pivots are cancelled sparsely in Markowitz
-    order and only the block left without unit entries is densified."""
+    order and the rows left without unit entries go to
+    _kernel.snf_decompose."""
     return _smith([dict(r) for r in m.entries])
 
 

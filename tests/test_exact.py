@@ -651,3 +651,31 @@ def test_markowitz_with_fill_in_matches_oracles(monkeypatch):
         assert rank(m, z3) == r3
         assert oracles.markowitz_repush_oracle(list(normalize(m, z3).entries), 3)[0] == r3
     assert sum(fills) > 1000
+
+
+def test_q_results_on_int_entries_have_the_oracle_types():
+    # a pivot that is already 1 is not scaled, so Q rows read in without
+    # normalizing once left ints in canonical and sum bases; the dense oracles
+    # on canonical values, and every Q.normalize, give Fractions
+    def types(m):
+        return {type(x) for row in m.data for x in row}
+
+    def rref_oracle(m):
+        rows = [[Q.normalize(x) for x in row] for row in m.transpose().row_lists()]
+        return ExactMatrix.from_rows(oracles.dense_rref(rows, Q), cols=m.rows).transpose()
+
+    rng = random.Random(15)
+    for _ in range(60):
+        r, c = rng.randint(1, 5), rng.randint(1, 5)
+        a = oracles.random_int_matrix(rng, r, c, -3, 3)
+        b = oracles.random_int_matrix(rng, r, rng.randint(1, 3), -3, 3)
+        assert types(canonical_basis(a, Q)) == types(rref_oracle(a))
+        assert types(module_sum(a, b, Q)) == types(rref_oracle(a.hstack(b)))
+        assert types(kernel_basis(a, Q)) <= {Fraction}
+        vec = [rng.randint(-3, 3) for _ in range(r)]
+        got, want = ColumnSolver(a, Q).solve(vec), oracles.DenseColumnSolver(a, Q).solve(vec)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert [type(x) for x in got] == [type(x) for x in want] == [Fraction] * c
+    m = ExactMatrix.from_rows([[1, 2], [0, 3]])
+    assert types(canonical_basis(m, Q)) == types(module_sum(m, m, Q)) == {Fraction}

@@ -1,12 +1,16 @@
-"""The integer kernel: HNF with and without transform on sparse rows, Smith
-invariant factors."""
+"""The elimination kernel on sparse rows: the one echelon routine (HNF over
+Z, RREF over Q and Z/p, with and without transform) against the dense oracle
+steps, and Smith invariant factors by alternating row and column HNF."""
 
 import os
 import random
 import subprocess
 import sys
 
+import pytest
+
 from hypermorse import _kernel
+from hypermorse.coeffs import CoeffSpec, prime_field
 
 import oracles
 
@@ -40,7 +44,20 @@ def test_snf_decompose_matches_transform_oracle():
     for mat in _random_matrices(3, count=190):
         _, d, _ = oracles.snf_transform_rows(mat)
         want = [d[t][t] for t in range(min(len(d), len(d[0]) if d else 0)) if d[t][t]]
-        assert _kernel.snf_decompose(mat) == want
+        assert _kernel.snf_decompose(_sparse(mat)) == want
+
+
+@pytest.mark.parametrize(
+    "mat, want",
+    [
+        ([[2, 1], [0, 2]], [1, 4]),
+        ([[4, 0, 0], [0, 6, 0], [0, 0, 10]], [2, 2, 60]),
+        ([[6, 4], [4, 6]], [2, 10]),
+        ([[0, 2], [2, 0], [0, 0]], [2, 2]),
+    ],
+)
+def test_snf_decompose_needs_several_alternations(mat, want):
+    assert _kernel.snf_decompose(_sparse(mat)) == want
 
 
 def test_hnf_rows_is_transform_hnf_without_zero_rows():
@@ -57,7 +74,7 @@ def test_inputs_not_mutated():
         copy = [row[:] for row in mat]
         _kernel.hnf_rows(rows)
         _kernel.hnf_rows_with_transform(rows)
-        _kernel.snf_decompose(mat)
+        _kernel.snf_decompose(rows)
         assert mat == copy and rows == _sparse(copy)
 
 
@@ -87,3 +104,23 @@ def test_sparse_hnf_takes_the_dense_oracle_steps():
         h, u, r = oracles.dense_hnf(mat, True)
         assert _kernel.hnf_rows_with_transform(_sparse(mat)) == (_sparse(h), _sparse(u))
         assert _kernel.hnf_rows(_sparse(mat)) == _sparse(h[:r])
+
+
+@pytest.mark.parametrize("coeff", [CoeffSpec("Q"), prime_field(2), prime_field(3), prime_field(5)])
+def test_sparse_rref_takes_the_dense_oracle_steps(coeff):
+    # the field twin of the test above: rows, u and the pivots agree exactly
+    rng = random.Random(6)
+    p = coeff.p if coeff.kind == "Zp" else 0
+    mats = [[], [[]], [[], []], [[0, 0, 0]], [[0], [0]], [[0, 1], [0, 0], [2, 0]]]
+    while len(mats) < 160:
+        r, c = rng.randint(0, 8), rng.randint(0, 8)
+        mats.append([[rng.choice((0, 0, 0, 1, -1, 2, -3, 4)) for _ in range(c)] for _ in range(r)])
+    for mat in mats:
+        h, u, pivots = oracles.dense_rref_with_transform(mat, coeff)
+        norm = [[coeff.normalize(x) for x in row] for row in mat]
+        rows = _sparse(norm)
+        got_u, got_pivots = _kernel.echelon(rows, p, True)
+        assert (rows, got_u, got_pivots) == (_sparse(h), _sparse(u), pivots)
+        # without a transform: the same rows and pivots, and no u
+        rows = _sparse(norm)
+        assert _kernel.echelon(rows, p) == (None, pivots) and rows == _sparse(h)
