@@ -12,7 +12,11 @@ basis columns below off.  Every operation is a pure function,
 but ∂_n of a complex over a ring is built once and kept on the (immutable)
 complex, so the sub-chain complexes and chain maps on one ΔH share it.
 Homology over Z uses the Smith invariant factors (Betti numbers and torsion
-coefficients); over Q and Z/p it uses ranks.
+coefficients); over Z/p it uses ranks.  Embedded and simplicial homology
+over Q are computed over Z, whose free ranks are the Betti numbers over Q
+(Q is flat over Z), so no Fraction is formed; a caller's own Q complex, the
+inf/sup bases the command line prints and HomologyBasis are still reduced
+over Q, by ranks and RREF.
 """
 
 from __future__ import annotations
@@ -285,23 +289,55 @@ def subcomplex_homology(scc):
     return HomologyResult(coeff, tuple(groups))
 
 
+def _integral(coeff):
+    """The ring embedded and simplicial homology over coeff are computed in:
+    Z in place of Q, coeff itself otherwise."""
+    return Z if coeff.kind == "Q" else coeff
+
+
+def _over(coeff, res):
+    """res, computed over _integral(coeff), as homology over coeff: over Q
+    the torsion is dropped and the free ranks are the Betti numbers."""
+    if res.coeff == coeff:
+        return res
+    return HomologyResult(coeff, tuple((betti, ()) for betti, _ in res.groups))
+
+
 def simplicial_homology(k, coeff=Z):
-    """Homology of a simplicial complex via its full chain complex."""
-    return subcomplex_homology(full_complex(k, coeff))
+    """Homology of a simplicial complex via its full chain complex.
+
+    Over Q it is computed over Z.  C_*(K; Q) = C_*(K; Z) ⊗ Q, and Q is flat
+    over Z, so H_n(K; Q) = H_n(K; Z) ⊗ Q: its dimension is the free rank of
+    H_n(K; Z), and the torsion dies.  Z/p keeps its own rank computation:
+    H_n(K; Z/p) is not H_n(K; Z) ⊗ Z/p, since p-torsion in degree n - 1
+    adds classes (the Tor term of the universal coefficient theorem).
+    """
+    return _over(coeff, subcomplex_homology(full_complex(k, _integral(coeff))))
 
 
 def embedded_homology(h, coeff=Z):
     """Embedded homology of a hypergraph: homology of the infimum complex,
-    cross-checked against the supremum complex (they must agree)."""
+    cross-checked against the supremum complex (they must agree).
+
+    Over Q both complexes, the cross-check and the ∂∂=0 checks run over Z.
+    Q is flat over Z, so kernels and images of integer maps commute with
+    ⊗ Q: Inf_n(H; Q) = ker(π ∂_n|H_n) ⊗ Q = Inf_n(H; Z) ⊗ Q, and likewise
+    Sup_n(H; Q) = Sup_n(H; Z) ⊗ Q.  Homology commutes with ⊗ Q as well, so
+    the Betti numbers over Q are the free ranks over Z and the torsion
+    dies.  Z/p is not flat: Inf_n(H; Z/p) = ker(π ∂_n|H_n mod p) is larger
+    than Inf_n(H; Z) ⊗ Z/p when coker(π ∂_n|H_n) has p-torsion, so Z/p is
+    computed over Z/p.
+    """
+    ring = _integral(coeff)
     delta = hypercore.delta_closure(h)
-    via_inf = subcomplex_homology(inf_complex(h, coeff, delta))
-    via_sup = subcomplex_homology(sup_complex(h, coeff, delta))
+    via_inf = subcomplex_homology(inf_complex(h, ring, delta))
+    via_sup = subcomplex_homology(sup_complex(h, ring, delta))
     if via_inf != via_sup:
         raise InternalConsistencyError(
             "infimum- and supremum-derived homology disagree: %r vs %r"
             % (via_inf, via_sup)
         )
-    return via_inf
+    return _over(coeff, via_inf)
 
 
 def projection(ambient_h, sub_h, chain):

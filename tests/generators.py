@@ -1,4 +1,5 @@
-"""Seeded random instance generators shared by the property and acceptance tests."""
+"""Seeded random instance generators, and a fixed complex with torsion, shared
+by the property and acceptance tests."""
 
 from fractions import Fraction
 
@@ -10,6 +11,19 @@ from hypermorse.hypercore import (
     edge_sort_key,
 )
 from hypermorse.morse import GradientField, MorseFunction, is_morse
+
+
+def mod3_moore_document():
+    """A triangulated mod-3 Moore space as a document of its 27 triangles: a
+    9-gon x0..x8 coned to c, joined by a band of triangles to the circle
+    a0 a1 a2, which its boundary wraps three times.  H_1 over Z is Z/3."""
+    triangles = []
+    for i in range(9):
+        a, b = "a%d" % (i % 3), "a%d" % ((i + 1) % 3)
+        x, y = "x%d" % i, "x%d" % ((i + 1) % 9)
+        triangles += [[a, b, x], [x, y, b], [x, y, "c"]]
+    vertices = ["a0", "a1", "a2"] + ["x%d" % i for i in range(9)] + ["c"]
+    return {"vertices": vertices, "hyperedges": triangles}
 
 
 def random_hypergraph(rng, max_vertices=8, max_edges=20, dim_weights=(30, 35, 25, 10)):

@@ -6,8 +6,17 @@ import json
 from fractions import Fraction
 
 from hypermorse import _kernel, exact, hypercore
-from hypermorse.chains import SubChainComplex, boundary_matrix, edge_module_matrix
+from hypermorse.chains import (
+    SubChainComplex,
+    boundary_matrix,
+    edge_module_matrix,
+    full_complex,
+    inf_complex,
+    subcomplex_homology,
+    sup_complex,
+)
 from hypermorse.cli import _parse_rational
+from hypermorse.coeffs import Q
 from hypermorse.errors import InvalidDocumentError, MalformedSubcomplexError, NotMorseError
 from hypermorse.exact import ColumnSolver, ExactMatrix
 from hypermorse.hypercore import Hypergraph, SimplicialComplex, VertexSet, edge_sort_key
@@ -320,6 +329,22 @@ def sup_complex_oracle(h, coeff, delta=None):
     return SubChainComplex(delta, coeff, basis)
 
 
+def embedded_homology_q_oracle(h):
+    """Embedded homology over Q from the infimum and supremum complexes
+    built over Q, whose homologies must agree."""
+    delta = hypercore.delta_closure(h)
+    via_inf = subcomplex_homology(inf_complex(h, Q, delta))
+    via_sup = subcomplex_homology(sup_complex(h, Q, delta))
+    if via_inf != via_sup:
+        raise AssertionError("inf and sup homology over Q disagree: %r vs %r" % (via_inf, via_sup))
+    return via_inf
+
+
+def simplicial_homology_q_oracle(k):
+    """Homology over Q of the full chain complex built over Q."""
+    return subcomplex_homology(full_complex(k, Q))
+
+
 def greedy_homology_representatives(scc, n):
     """Kernel columns that raise the rank of the image, one rank call each."""
     coeff = scc.coeff
@@ -417,7 +442,7 @@ def dense_field_closures(coeff):
         def submul(a, q, b):
             return a - q * b
 
-        return div, submul, lambda x: x
+        return div, submul, coeff.normalize
     p = coeff.p
 
     def div(a, b):
@@ -438,7 +463,8 @@ def dense_rref_with_transform(mat, coeff, transform=True):
     m = len(mat)
     n = len(mat[0]) if m else 0
     rows = [[norm(x) for x in row] for row in mat]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)] if transform else None
+    one, zero = norm(1), norm(0)
+    u = [[one if i == j else zero for j in range(m)] for i in range(m)] if transform else None
     pivots = []
     r = 0
     for c in range(n):

@@ -287,11 +287,44 @@ def test_embedded_cross_check_on_torsion_carrying_hypergraphs():
 
 
 def test_embedded_betti_over_q_equal_free_rank_over_z():
-    # Inf over Z is a free sub-complex, and H(C ⊗ Q) = H(C) ⊗ Q for free C
+    # Inf over Z is a free sub-complex, and H(C ⊗ Q) = H(C) ⊗ Q for free C;
+    # embedded_homology(h, Q) is computed over Z, so the Q side is the oracle
+    # that builds Inf and Sup over Q
     rng = random.Random(91)
     for _ in range(300):
         h = generators.random_hypergraph(rng, 7, 14)
-        assert embedded_homology(h, Q).betti == embedded_homology(h, Z).betti
+        over_q = oracles.embedded_homology_q_oracle(h)
+        assert over_q.betti == embedded_homology(h, Z).betti
+        assert embedded_homology(h, Q) == over_q
+
+
+def _moore_hypergraph():
+    doc = generators.mod3_moore_document()
+    return Hypergraph.from_labels(doc["vertices"], doc["hyperedges"])
+
+
+def test_rational_homology_matches_q_built_oracle():
+    # embedded and simplicial homology over Q come from the integer lattice;
+    # the oracle reduces complexes built over Q.  RP^2 and the mod-3 Moore
+    # space carry Z/2 and Z/3 torsion, which must vanish over Q: as full
+    # complexes (embedded, assoc and lower all see it) and as triangles only
+    rng = random.Random(94)
+    cases = [generators.random_hypergraph(rng, 7, 14) for _ in range(300)]
+    for h, torsion in ((_rp2_hypergraph(), (2,)), (_moore_hypergraph(), (3,))):
+        k = delta_closure(h)
+        assert simplicial_homology(k, Z).groups == ((1, ()), (0, torsion), (0, ()))
+        assert embedded_homology(k, Z) == simplicial_homology(lower_complex(k), Z)
+        cases += [k, h]
+    for h in cases:
+        delta, lower = delta_closure(h), lower_complex(h)
+        for got, want in (
+            (embedded_homology(h, Q), oracles.embedded_homology_q_oracle(h)),
+            (simplicial_homology(delta, Q), oracles.simplicial_homology_q_oracle(delta)),
+            (simplicial_homology(lower, Q), oracles.simplicial_homology_q_oracle(lower)),
+        ):
+            assert got == want and got.coeff == Q
+            assert all(type(b) is int for b in got.betti)
+            assert not any(got.torsion)
 
 
 def _universal_coefficient_betti(over_z, p):

@@ -1,6 +1,7 @@
 import collections
 import contextlib
 import io
+import itertools
 import json
 import random
 import time
@@ -221,6 +222,194 @@ def test_homology_builds_the_closure_only_where_it_is_read(tmp_path, capsys, mon
         calls.clear()
         code, out, err = _run(capsys, ["homology", path, "--which", which])
         assert code == 0 and len(calls) == closures, which
+
+
+# homology --coeff q on RP^2 and the mod-3 Moore space, each given by its
+# triangles and edges (no vertices): over Z, H_1 holds Z/2 or Z/3 in the
+# embedded, assoc, inf and sup homology, and over Q it must vanish.  The
+# reports were recorded while embedded and simplicial homology over Q were
+# still eliminated over Q; inf and sup print the RREF bases of complexes
+# built over Q.
+
+RP2_DOC = {
+    "vertices": ["v1", "v2", "v3", "v4", "v5", "v6"],
+    "hyperedges": [
+        ["v1", "v2", "v3"], ["v1", "v3", "v4"], ["v1", "v4", "v5"], ["v1", "v5", "v6"],
+        ["v1", "v2", "v6"], ["v2", "v3", "v5"], ["v3", "v4", "v6"], ["v2", "v4", "v5"],
+        ["v3", "v5", "v6"], ["v2", "v4", "v6"],
+    ],
+}
+
+
+def _with_edges(doc):
+    edges = {tuple(sorted(p)) for t in doc["hyperedges"] for p in itertools.combinations(t, 2)}
+    hyperedges = doc["hyperedges"] + [list(e) for e in sorted(edges)]
+    return {"vertices": doc["vertices"], "hyperedges": hyperedges}
+
+
+Q_HOMOLOGY_DOCS = {
+    "RP2": _with_edges(RP2_DOC),
+    "Moore3": _with_edges(generators.mod3_moore_document()),
+}
+
+Q_HOMOLOGY_DIGESTS = {
+    "RP2": "sha256:0b639b781710bcc070795e0b1d50c4ac5bf01854f1911775ab98378704f000db",
+    "Moore3": "sha256:873083527a84a1a98316ad8cddb9237f1fc17a6fc9722e1831e762b44fc6f690",
+}
+
+Q_HOMOLOGY_REPORTS = {
+    ("RP2", "embedded"): {"betti": [0, 0, 0], "torsion": [[], [], []], "which": "embedded"},
+    ("RP2", "assoc"): {"betti": [1, 0, 0], "torsion": [[], [], []], "which": "assoc"},
+    ("RP2", "lower"): {"betti": [], "torsion": [], "which": "lower"},
+    ("RP2", "inf"): {
+        "bases": {
+            "0": [],
+            "1": [
+                [["1", "v1,v2"], ["-1", "v1,v6"], ["1", "v2,v6"]],
+                [["1", "v1,v3"], ["-1", "v1,v6"], ["1", "v3,v6"]],
+                [["1", "v1,v4"], ["-1", "v1,v6"], ["1", "v4,v6"]],
+                [["1", "v1,v5"], ["-1", "v1,v6"], ["1", "v5,v6"]],
+                [["1", "v2,v3"], ["-1", "v2,v6"], ["1", "v3,v6"]],
+                [["1", "v2,v4"], ["-1", "v2,v6"], ["1", "v4,v6"]],
+                [["1", "v2,v5"], ["-1", "v2,v6"], ["1", "v5,v6"]],
+                [["1", "v3,v4"], ["-1", "v3,v6"], ["1", "v4,v6"]],
+                [["1", "v3,v5"], ["-1", "v3,v6"], ["1", "v5,v6"]],
+                [["1", "v4,v5"], ["-1", "v4,v6"], ["1", "v5,v6"]],
+            ],
+            "2": [
+                [["1", "v1,v2,v3"]], [["1", "v1,v2,v6"]], [["1", "v1,v3,v4"]], [["1", "v1,v4,v5"]],
+                [["1", "v1,v5,v6"]], [["1", "v2,v3,v5"]], [["1", "v2,v4,v5"]], [["1", "v2,v4,v6"]],
+                [["1", "v3,v4,v6"]], [["1", "v3,v5,v6"]],
+            ],
+        },
+        "betti": [0, 0, 0],
+        "torsion": [[], [], []],
+        "which": "inf",
+    },
+    ("RP2", "sup"): {
+        "bases": {
+            "0": [
+                [["1", "v1"], ["-1", "v6"]], [["1", "v2"], ["-1", "v6"]],
+                [["1", "v3"], ["-1", "v6"]], [["1", "v4"], ["-1", "v6"]],
+                [["1", "v5"], ["-1", "v6"]],
+            ],
+            "1": [
+                [["1", "v1,v2"]], [["1", "v1,v3"]], [["1", "v1,v4"]], [["1", "v1,v5"]],
+                [["1", "v1,v6"]], [["1", "v2,v3"]], [["1", "v2,v4"]], [["1", "v2,v5"]],
+                [["1", "v2,v6"]], [["1", "v3,v4"]], [["1", "v3,v5"]], [["1", "v3,v6"]],
+                [["1", "v4,v5"]], [["1", "v4,v6"]], [["1", "v5,v6"]],
+            ],
+            "2": [
+                [["1", "v1,v2,v3"]], [["1", "v1,v2,v6"]], [["1", "v1,v3,v4"]], [["1", "v1,v4,v5"]],
+                [["1", "v1,v5,v6"]], [["1", "v2,v3,v5"]], [["1", "v2,v4,v5"]], [["1", "v2,v4,v6"]],
+                [["1", "v3,v4,v6"]], [["1", "v3,v5,v6"]],
+            ],
+        },
+        "betti": [0, 0, 0],
+        "torsion": [[], [], []],
+        "which": "sup",
+    },
+    ("Moore3", "embedded"): {"betti": [0, 0, 0], "torsion": [[], [], []], "which": "embedded"},
+    ("Moore3", "assoc"): {"betti": [1, 0, 0], "torsion": [[], [], []], "which": "assoc"},
+    ("Moore3", "lower"): {"betti": [], "torsion": [], "which": "lower"},
+    ("Moore3", "inf"): {
+        "bases": {
+            "0": [],
+            "1": [
+                [["1", "a0,a1"], ["-1", "a0,x8"], ["1", "a1,x7"], ["1", "x7,c"], ["-1", "x8,c"]],
+                [["1", "a0,a2"], ["-1", "a0,x8"], ["1", "a2,x8"]],
+                [["1", "a0,x0"], ["-1", "a0,x8"], ["1", "x0,c"], ["-1", "x8,c"]],
+                [["1", "a0,x2"], ["-1", "a0,x8"], ["1", "x2,c"], ["-1", "x8,c"]],
+                [["1", "a0,x3"], ["-1", "a0,x8"], ["1", "x3,c"], ["-1", "x8,c"]],
+                [["1", "a0,x5"], ["-1", "a0,x8"], ["1", "x5,c"], ["-1", "x8,c"]],
+                [["1", "a0,x6"], ["-1", "a0,x8"], ["1", "x6,c"], ["-1", "x8,c"]],
+                [["1", "a1,a2"], ["-1", "a1,x7"], ["1", "a2,x8"], ["-1", "x7,c"], ["1", "x8,c"]],
+                [["1", "a1,x0"], ["-1", "a1,x7"], ["1", "x0,c"], ["-1", "x7,c"]],
+                [["1", "a1,x1"], ["-1", "a1,x7"], ["1", "x1,c"], ["-1", "x7,c"]],
+                [["1", "a1,x3"], ["-1", "a1,x7"], ["1", "x3,c"], ["-1", "x7,c"]],
+                [["1", "a1,x4"], ["-1", "a1,x7"], ["1", "x4,c"], ["-1", "x7,c"]],
+                [["1", "a1,x6"], ["-1", "a1,x7"], ["1", "x6,c"], ["-1", "x7,c"]],
+                [["1", "a2,x1"], ["-1", "a2,x8"], ["1", "x1,c"], ["-1", "x8,c"]],
+                [["1", "a2,x2"], ["-1", "a2,x8"], ["1", "x2,c"], ["-1", "x8,c"]],
+                [["1", "a2,x4"], ["-1", "a2,x8"], ["1", "x4,c"], ["-1", "x8,c"]],
+                [["1", "a2,x5"], ["-1", "a2,x8"], ["1", "x5,c"], ["-1", "x8,c"]],
+                [["1", "a2,x7"], ["-1", "a2,x8"], ["1", "x7,c"], ["-1", "x8,c"]],
+                [["1", "x0,x1"], ["-1", "x0,c"], ["1", "x1,c"]],
+                [["1", "x0,x8"], ["-1", "x0,c"], ["1", "x8,c"]],
+                [["1", "x1,x2"], ["-1", "x1,c"], ["1", "x2,c"]],
+                [["1", "x2,x3"], ["-1", "x2,c"], ["1", "x3,c"]],
+                [["1", "x3,x4"], ["-1", "x3,c"], ["1", "x4,c"]],
+                [["1", "x4,x5"], ["-1", "x4,c"], ["1", "x5,c"]],
+                [["1", "x5,x6"], ["-1", "x5,c"], ["1", "x6,c"]],
+                [["1", "x6,x7"], ["-1", "x6,c"], ["1", "x7,c"]],
+                [["1", "x7,x8"], ["-1", "x7,c"], ["1", "x8,c"]],
+            ],
+            "2": [
+                [["1", "a0,a1,x0"]], [["1", "a0,a1,x3"]], [["1", "a0,a1,x6"]], [["1", "a0,a2,x2"]],
+                [["1", "a0,a2,x5"]], [["1", "a0,a2,x8"]], [["1", "a0,x0,x8"]], [["1", "a0,x2,x3"]],
+                [["1", "a0,x5,x6"]], [["1", "a1,a2,x1"]], [["1", "a1,a2,x4"]], [["1", "a1,a2,x7"]],
+                [["1", "a1,x0,x1"]], [["1", "a1,x3,x4"]], [["1", "a1,x6,x7"]], [["1", "a2,x1,x2"]],
+                [["1", "a2,x4,x5"]], [["1", "a2,x7,x8"]], [["1", "x0,x1,c"]], [["1", "x0,x8,c"]],
+                [["1", "x1,x2,c"]], [["1", "x2,x3,c"]], [["1", "x3,x4,c"]], [["1", "x4,x5,c"]],
+                [["1", "x5,x6,c"]], [["1", "x6,x7,c"]], [["1", "x7,x8,c"]],
+            ],
+        },
+        "betti": [0, 0, 0],
+        "torsion": [[], [], []],
+        "which": "inf",
+    },
+    ("Moore3", "sup"): {
+        "bases": {
+            "0": [
+                [["1", "a0"], ["-1", "c"]], [["1", "a1"], ["-1", "c"]], [["1", "a2"], ["-1", "c"]],
+                [["1", "x0"], ["-1", "c"]], [["1", "x1"], ["-1", "c"]], [["1", "x2"], ["-1", "c"]],
+                [["1", "x3"], ["-1", "c"]], [["1", "x4"], ["-1", "c"]], [["1", "x5"], ["-1", "c"]],
+                [["1", "x6"], ["-1", "c"]], [["1", "x7"], ["-1", "c"]], [["1", "x8"], ["-1", "c"]],
+            ],
+            "1": [
+                [["1", "a0,a1"]], [["1", "a0,a2"]], [["1", "a0,x0"]], [["1", "a0,x2"]],
+                [["1", "a0,x3"]], [["1", "a0,x5"]], [["1", "a0,x6"]], [["1", "a0,x8"]],
+                [["1", "a1,a2"]], [["1", "a1,x0"]], [["1", "a1,x1"]], [["1", "a1,x3"]],
+                [["1", "a1,x4"]], [["1", "a1,x6"]], [["1", "a1,x7"]], [["1", "a2,x1"]],
+                [["1", "a2,x2"]], [["1", "a2,x4"]], [["1", "a2,x5"]], [["1", "a2,x7"]],
+                [["1", "a2,x8"]], [["1", "x0,x1"]], [["1", "x0,x8"]], [["1", "x0,c"]],
+                [["1", "x1,x2"]], [["1", "x1,c"]], [["1", "x2,x3"]], [["1", "x2,c"]],
+                [["1", "x3,x4"]], [["1", "x3,c"]], [["1", "x4,x5"]], [["1", "x4,c"]],
+                [["1", "x5,x6"]], [["1", "x5,c"]], [["1", "x6,x7"]], [["1", "x6,c"]],
+                [["1", "x7,x8"]], [["1", "x7,c"]], [["1", "x8,c"]],
+            ],
+            "2": [
+                [["1", "a0,a1,x0"]], [["1", "a0,a1,x3"]], [["1", "a0,a1,x6"]], [["1", "a0,a2,x2"]],
+                [["1", "a0,a2,x5"]], [["1", "a0,a2,x8"]], [["1", "a0,x0,x8"]], [["1", "a0,x2,x3"]],
+                [["1", "a0,x5,x6"]], [["1", "a1,a2,x1"]], [["1", "a1,a2,x4"]], [["1", "a1,a2,x7"]],
+                [["1", "a1,x0,x1"]], [["1", "a1,x3,x4"]], [["1", "a1,x6,x7"]], [["1", "a2,x1,x2"]],
+                [["1", "a2,x4,x5"]], [["1", "a2,x7,x8"]], [["1", "x0,x1,c"]], [["1", "x0,x8,c"]],
+                [["1", "x1,x2,c"]], [["1", "x2,x3,c"]], [["1", "x3,x4,c"]], [["1", "x4,x5,c"]],
+                [["1", "x5,x6,c"]], [["1", "x6,x7,c"]], [["1", "x7,x8,c"]],
+            ],
+        },
+        "betti": [0, 0, 0],
+        "torsion": [[], [], []],
+        "which": "sup",
+    },
+}
+
+
+@pytest.mark.parametrize("name, which", list(Q_HOMOLOGY_REPORTS))
+def test_homology_over_q_prints_the_recorded_report(tmp_path, capsys, name, which):
+    path = _write(tmp_path, name + ".json", Q_HOMOLOGY_DOCS[name])
+    code, out, err = _run(capsys, ["homology", path, "--which", which, "--coeff", "q"])
+    report = {
+        "coefficients": "Q",
+        "command": "homology",
+        "input_digest": Q_HOMOLOGY_DIGESTS[name],
+        "notes": [],
+        "result": Q_HOMOLOGY_REPORTS[name, which],
+        "tool": "hypermorse",
+        "version": "1.0.0",
+    }
+    assert (code, err) == (0, "")
+    assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 def test_morse_check_and_critical_section6(tmp_path, capsys):
