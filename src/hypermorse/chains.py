@@ -16,7 +16,9 @@ coefficients); over Z/p it uses ranks.  Embedded and simplicial homology
 over Q are computed over Z, whose free ranks are the Betti numbers over Q
 (Q is flat over Z), so no Fraction is formed; a caller's own Q complex, the
 inf/sup bases the command line prints and HomologyBasis are still reduced
-over Q, by ranks and RREF.
+over Q, by ranks and RREF.  HomologyBasis keeps its representatives as
+sparse columns in the ambient basis, and an induced map reduces the image
+of each with one solve, so no dense vector is built on that path either.
 """
 
 from __future__ import annotations
@@ -360,7 +362,10 @@ class HomologyBasis:
     In each degree the representatives are the columns of the canonical
     kernel basis that raise the rank of the canonical image basis, taken
     greedily in column order.  They are read off the pivot columns of a
-    single row reduction of [im | ker].
+    single row reduction of [im | ker]; im's columns are independent, so
+    they are all pivots and come first.  The chosen columns are kept in the
+    ambient basis, as the sparse columns of basis[n] * [im | reps], and one
+    ColumnSolver on that product reduces an ambient cycle in one solve.
     """
 
     def __init__(self, scc):
@@ -368,59 +373,42 @@ class HomologyBasis:
             raise ValueError("homology bases require field coefficients")
         self.scc = scc
         coeff = scc.coeff
-        self._levels = []
+        self._im_cols, self._reps, self._solvers = [], [], []
         for n in range(scc.top + 1):
             ker = exact.kernel_basis(scc.restricted[n], coeff)
             if n < scc.top:
                 im = exact.canonical_basis(scc.restricted[n + 1], coeff)
             else:
                 im = ExactMatrix.zeros(scc.rank_at(n), 0)
-            # the kernel columns outside the span of im and the kernel columns
-            # before them: the greedy rank-increasing choice, in one elimination
-            pivots = exact.pivot_columns(im.hstack(ker), coeff)
-            ker_cols = ker.transpose().entries
-            reps = [ker_cols[c - im.cols] for c in pivots if c >= im.cols]
-            reps = ExactMatrix.from_sparse(len(reps), scc.rank_at(n), reps, ker.zero).transpose()
-            stacked = im.hstack(reps)
-            solver = ColumnSolver(stacked, coeff) if stacked.cols else None
-            self._levels.append(
-                {
-                    "im_cols": im.cols,
-                    "reps": reps,
-                    "solver": solver,
-                    "dim": scc.rank_at(n),
-                }
-            )
+            both = im.hstack(ker)
+            cols = both.transpose().entries
+            chosen = [cols[c] for c in exact.pivot_columns(both, coeff)]
+            chosen = ExactMatrix.from_sparse(len(chosen), both.rows, chosen).transpose()
+            ambient = exact.matmul(scc.basis[n], chosen, coeff)
+            self._im_cols.append(im.cols)
+            self._reps.append(ambient.transpose().entries[im.cols :])
+            self._solvers.append(ColumnSolver(ambient, coeff))
 
     def betti(self, n):
-        if 0 <= n < len(self._levels):
-            return self._levels[n]["reps"].cols
-        return 0
+        return len(self.representatives(n))
 
     def representatives(self, n):
-        """Class representatives as internal coordinate vectors."""
-        if 0 <= n < len(self._levels):
-            return [list(r) for r in self._levels[n]["reps"].columns()]
-        return []
+        """Class representatives as {ambient cell index: value} dicts of
+        their non-zeros, which must not be changed."""
+        return self._reps[n] if 0 <= n < len(self._reps) else ()
 
-    def representatives_ambient(self, n):
-        return [self.scc.to_ambient(n, r) for r in self.representatives(n)]
-
-    def reduce(self, n, internal_cycle):
-        """Class coordinates of an internal cycle in the chosen basis."""
-        if not 0 <= n < len(self._levels):
-            if any(internal_cycle):
-                raise ValueError("non-zero cycle in an empty degree")
-            return []
-        level = self._levels[n]
-        if level["solver"] is None:
-            if any(internal_cycle):
-                raise InternalConsistencyError("cycle outside the zero homology space")
-            return []
-        sol = level["solver"].solve(list(internal_cycle))
-        if sol is None:
-            raise InternalConsistencyError("vector is not a cycle of the subcomplex")
-        return sol[level["im_cols"] :]
+    def coordinates(self, n, cycle):
+        """Class coordinates {j: value} of an ambient degree-n cycle, given
+        as a {cell index: value} dict.  InternalConsistencyError for a chain
+        outside the cycles of the complex, such as any non-empty chain in a
+        degree above its top."""
+        if 0 <= n < len(self._solvers):
+            x, im = self._solvers[n].solve(cycle), self._im_cols[n]
+        else:
+            x, im = (None if cycle else {}), 0
+        if x is None:
+            raise InternalConsistencyError("degree-%d chain is not a cycle of the complex" % n)
+        return {j - im: y for j, y in x.items() if j >= im}
 
 
 def induced_on_homology(src, dst, ambient_map=None, top=None):
@@ -428,33 +416,22 @@ def induced_on_homology(src, dst, ambient_map=None, top=None):
 
     src and dst are HomologyBasis objects; ambient_map gives per-degree
     matrices C_n(src ambient) -> C_n(dst ambient) (None means the identity,
-    for inclusion-induced maps within one ambient complex).  Raises
-    InternalConsistencyError when an image leaves the target subcomplex.
+    for inclusion-induced maps within one ambient complex).  Each image of a
+    representative is reduced by one dst.coordinates solve, which raises
+    InternalConsistencyError when it is not a cycle of the target.
     """
     coeff = src.scc.coeff
     if top is None:
         top = max(src.scc.top, dst.scc.top)
+    zero = coeff.normalize(0)
     mats = []
     for n in range(top + 1):
-        b_src = src.betti(n)
-        b_dst = dst.betti(n)
-        cols = []
-        for rep in src.representatives_ambient(n):
-            # representatives only exist up to the source top degree, where
-            # the (padded) chain map always has a matrix
-            image = rep if ambient_map is None else exact.matvec(ambient_map[n], rep, coeff)
-            if n > dst.scc.top:
-                if any(image):
-                    raise InternalConsistencyError("image lands above the target complex")
-                cols.append([])
-                continue
-            internal = dst.scc.to_internal(n, image)
-            if internal is None:
-                raise InternalConsistencyError(
-                    "chain image leaves the target sub-chain complex in degree %d" % n
-                )
-            cols.append(dst.reduce(n, internal))
-        mats.append(
-            ExactMatrix.from_columns(cols, b_dst) if cols else ExactMatrix.zeros(b_dst, b_src)
-        )
+        images = src.representatives(n)
+        # representatives only exist up to the source top degree, where the
+        # (padded) chain map always has a matrix
+        if images and ambient_map is not None:
+            reps = ExactMatrix.from_sparse(len(images), ambient_map[n].cols, images).transpose()
+            images = exact.matmul(ambient_map[n], reps, coeff).transpose().entries
+        rows = [dst.coordinates(n, image) for image in images]
+        mats.append(ExactMatrix.from_sparse(len(rows), dst.betti(n), rows, zero).transpose())
     return mats

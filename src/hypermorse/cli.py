@@ -444,11 +444,11 @@ def _cmd_map(args, out):
                 for n in range(len(hm.matrices))
             },
             "source_basis": [
-                [_chain_to_json(phi.source, dict(rep)) for rep in level]
+                [_chain_to_json(phi.source, rep) for rep in level]
                 for level in hm.source_basis
             ],
             "target_basis": [
-                [_chain_to_json(phi.target, dict(rep)) for rep in level]
+                [_chain_to_json(phi.target, rep) for rep in level]
                 for level in hm.target_basis
             ],
         }

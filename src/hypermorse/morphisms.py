@@ -173,10 +173,7 @@ class HomologyMap:
 
 def _chain_dicts(hb, n):
     edges = hb.scc.ambient.edges_of_dim(n)
-    out = []
-    for vec in hb.representatives_ambient(n):
-        out.append({edges[i]: vec[i] for i in range(len(edges)) if vec[i]})
-    return out
+    return [{edges[i]: x for i, x in rep.items()} for rep in hb.representatives(n)]
 
 
 _KINDS = ("lower", "embedded", "assoc")

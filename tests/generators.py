@@ -169,3 +169,44 @@ def random_morphism(rng, source, max_extra_edges=4):
         edges.add(tuple(sorted(rng.sample(range(nt), d + 1))))
     target = Hypergraph(VertexSet(target_labels), sorted(edges, key=edge_sort_key))
     return vmap, target
+
+
+def _random_edges(rng, nv, ne, maxdim):
+    """ne distinct edges on nv vertices, each of dimension at most maxdim."""
+    edges = set()
+    while len(edges) < ne:
+        d = rng.randint(0, maxdim)
+        edges.add(tuple(sorted(rng.sample(range(nv), d + 1))))
+    return sorted(edges, key=edge_sort_key)
+
+
+def _labelled(prefix, nv, edges):
+    names = ["%s%d" % (prefix, i) for i in range(nv)]
+    return {"vertices": names, "hyperedges": [[names[i] for i in e] for e in edges]}
+
+
+def quotient_morphism_document(rng, nv, ne, maxdim, target_nv):
+    """A morphism document collapsing a random hypergraph on nv vertices onto
+    target_nv vertices; the target is the image hypergraph."""
+    edges = _random_edges(rng, nv, ne, maxdim)
+    vmap = [rng.randrange(target_nv) for _ in range(nv)]
+    for w, v in enumerate(rng.sample(range(nv), target_nv)):
+        vmap[v] = w
+    image = sorted({tuple(sorted({vmap[i] for i in e})) for e in edges}, key=edge_sort_key)
+    return {
+        "source": _labelled("v", nv, edges),
+        "target": _labelled("w", target_nv, image),
+        "map": {"v%d" % i: "w%d" % vmap[i] for i in range(nv)},
+    }
+
+
+def inclusion_morphism_document(rng, nv, ne, maxdim, keep=0.6):
+    """A morphism document including a random sub-hypergraph (each edge kept
+    with probability keep) into a random hypergraph."""
+    edges = _random_edges(rng, nv, ne, maxdim)
+    sub = [e for e in edges if rng.random() < keep]
+    return {
+        "source": _labelled("v", nv, sub),
+        "target": _labelled("v", nv, edges),
+        "map": {"v%d" % i: "v%d" % i for i in range(nv)},
+    }

@@ -17,7 +17,7 @@ from hypermorse.chains import (
     sup_complex,
 )
 from hypermorse.coeffs import Q, Z, prime_field
-from hypermorse.errors import MalformedSubcomplexError
+from hypermorse.errors import InternalConsistencyError, MalformedSubcomplexError
 from hypermorse.exact import ExactMatrix, canonical_basis, matmul
 from hypermorse.hypercore import Hypergraph, delta_closure, lower_complex
 
@@ -214,15 +214,35 @@ def test_homology_basis_reduction_roundtrip(h_section6):
     hb = HomologyBasis(inf)
     assert [hb.betti(n) for n in range(3)] == [2, 1, 0]
     for n in range(3):
-        for rep in hb.representatives(n):
-            coords = hb.reduce(n, rep)
-            assert len(coords) == hb.betti(n)
-    # a boundary reduces to zero
-    cycle = hb.representatives(0)[0]
-    im = inf.restricted[1]
-    if im.cols:
-        boundary_vec = [im.data[i][0] for i in range(im.rows)]
-        assert all(x == 0 for x in hb.reduce(0, boundary_vec))
+        for j, rep in enumerate(hb.representatives(n)):
+            assert hb.coordinates(n, rep) == {j: 1}
+    # every boundary reduces to zero, and a cycle plus a boundary to the
+    # coordinates of the cycle
+    for n in (1, 2):
+        images = matmul(boundary_matrix(inf.ambient, n, Q), inf.basis[n], Q).transpose().entries
+        for image in images:
+            assert hb.coordinates(n - 1, image) == {}
+        if n == 1:
+            boundary = images[0]
+    assert boundary
+    first, second = hb.representatives(0)
+    cells = set(first) | set(second) | set(boundary)
+    chain = {i: first.get(i, 0) - 2 * second.get(i, 0) + boundary.get(i, 0) for i in cells}
+    assert hb.coordinates(0, chain) == {0: 1, 1: -2}
+
+
+def test_homology_basis_refuses_chains_outside_the_cycles(h_section6):
+    inf = inf_complex(h_section6, Q)
+    hb = HomologyBasis(inf)
+    edges = inf.ambient.edges_of_dim(1)
+    # v0v1 lies in Inf_1 but is not a cycle; v0v2 is not in Inf_1 at all
+    for chain in ({edges.index((0, 1)): 1}, {edges.index((0, 2)): 1}):
+        with pytest.raises(InternalConsistencyError):
+            hb.coordinates(1, chain)
+    # above the top degree only the empty chain is a cycle
+    assert hb.coordinates(3, {}) == {}
+    with pytest.raises(InternalConsistencyError):
+        hb.coordinates(3, {0: 1})
 
 
 def test_coordinate_subcomplex_lower(h_section6):
@@ -399,7 +419,13 @@ def test_homology_basis_is_greedy_choice(coeff):
         for scc in (inf_complex(h, coeff, delta), sup_complex(h, coeff, delta)):
             hb = HomologyBasis(scc)
             for n in range(scc.top + 1):
-                assert hb.representatives(n) == oracles.greedy_homology_representatives(scc, n)
+                # the oracle's internal vectors in the ambient basis, as
+                # sparse columns; the degree basis is injective
+                want = [
+                    {i: x for i, x in enumerate(scc.to_ambient(n, rep)) if x}
+                    for rep in oracles.greedy_homology_representatives(scc, n)
+                ]
+                assert list(hb.representatives(n)) == want
 
 
 def _refuse(*args, **kwargs):

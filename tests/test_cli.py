@@ -1,5 +1,6 @@
 import collections
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -606,6 +607,69 @@ def test_map_example_226(tmp_path, capsys):
     ass = result["induced"]["assoc"]["degrees"]
     assert ass["0"] == {"matrix": [["1"]], "source_betti": 1, "target_betti": 1}
     assert ass["1"] == {"matrix": [], "source_betti": 1, "target_betti": 0}
+
+
+
+def _map_documents():
+    """Seeded quotients and inclusions, and the swap of v0 and v1 on the
+    hollow triangle, which sends its one 1-cycle to minus itself."""
+    rng = random.Random(118)
+    docs = {}
+    for i in range(3):
+        docs["quotient%d" % i] = generators.quotient_morphism_document(rng, 8, 18, 2, 5)
+        docs["inclusion%d" % i] = generators.inclusion_morphism_document(rng, 8, 18, 2)
+    swap = {"v0": "v1", "v1": "v0", "v2": "v2"}
+    docs["swap"] = {"source": DOC_226, "target": DOC_226, "map": swap}
+    return docs
+
+
+# exit code and sha256 of the stdout of `map DOC --induced all --check-diagram
+# --coeff COEFF --format FORMAT`, keyed "DOC/COEFF/FORMAT"
+MAP_STDOUT_DIGESTS = {
+    "quotient0/q/json": (0, "9f021ca1b80ac67a0cd28565c3bbe225bee60fabfe2e84a7ce5b64e2bc741da0"),
+    "quotient0/q/text": (0, "910b6b85e718c33bbd606a4b65c2e0db55555e6721353b5efca1d3190b1672fa"),
+    "quotient0/zp:3/json": (0, "d788ca5607ba732c4a7d1431b3f1bfdb17de13b059a150584bdb49df19ec72c7"),
+    "quotient0/zp:3/text": (0, "6fd0bc8e6c6f1d8227286ba05292f535096e2c16eb87bb419c169b40bccbd734"),
+    "inclusion0/q/json": (0, "c73bffbb1155102f6dfaa4bbd5c58301d1754e9d5c10268ed33f33b5dfe12383"),
+    "inclusion0/q/text": (0, "709a99c3c0eaa345fe65c30c343e312b380480f38b2efffa7254bb0dcf8f67a0"),
+    "inclusion0/zp:3/json": (0, "bcebdbfd17534963bd7bf67143e6a7837e929aeca5564544be92246b0a257557"),
+    "inclusion0/zp:3/text": (0, "a873acd57d2d6ede3c5f0f40c073f80e81925b2fce61bc70be571b4ec902e02c"),
+    "quotient1/q/json": (0, "5080bf98146ef3ef9724d274d5c665f8777f268a047377fc9ce579f853de296d"),
+    "quotient1/q/text": (0, "ed08c893fc4779d2cd40780388a04e2ec40ddad3080770da6da436ffb574bbf7"),
+    "quotient1/zp:3/json": (0, "11f1a4bf973c45816ab1059f8ec0fc5f48ca54c2a1bf0d78e14b02c3873b277a"),
+    "quotient1/zp:3/text": (0, "43afbe15f4880fcd694a3b7e3b3012e29676d403bff1952be772a1733f6ef9f0"),
+    "inclusion1/q/json": (0, "1fc099f8db165077dc5420967f99d58a00db9ba57f8ba28a1c8946678cfbadf1"),
+    "inclusion1/q/text": (0, "95e9b0960d7a13a1de005db4f9b235ad892b0404f67a69d0aacf25b9cf1c76f4"),
+    "inclusion1/zp:3/json": (0, "812d1c03cdbdc96f0652df54d30bee93c5d9841b7a76d32e5b507ac2074d22a6"),
+    "inclusion1/zp:3/text": (0, "744e07897c080c1b70d52af0b3d6ae5415adf567a02f22597c61f102a2358ecc"),
+    "quotient2/q/json": (0, "5abb1095f39e073fe382933639ba524067533f7290b24d994704c62197fb234e"),
+    "quotient2/q/text": (0, "f2f1be1552167bbfd221ce094de2228e4b3b7b642b3c4109cd7b65dc396b1688"),
+    "quotient2/zp:3/json": (0, "84e8d04f85584532de18e3d7e6ec62cfececdf14534f4cee2fe36e163f8f303d"),
+    "quotient2/zp:3/text": (0, "8cd8fd44c7648a482e4fdb9a9c74f260f51360153db25930f77dd6f41e3df43a"),
+    "inclusion2/q/json": (0, "0b7ee2305af309d5985561185d3140f0f3003af025d5837185c90e7a9487832c"),
+    "inclusion2/q/text": (0, "f8a547d89309d58f40e9b2b7c972f5cac7f4445795c5690d2f4d425187a74742"),
+    "inclusion2/zp:3/json": (0, "6f1a437c4b1546af28ea36307f5be396f81e096fbc2b84f20c79864170e5c833"),
+    "inclusion2/zp:3/text": (0, "9ca0eaa7857acbe60a061dbedb04bb97a77c6a75a882f645aac1c49f9d76c631"),
+    "swap/q/json": (0, "50a0101bd0beac500aabbb1de318f3c8fbff8e6bdf78c787a96d0dadfd15d123"),
+    "swap/q/text": (0, "e09dc17914b08676f5667107e25787602cb2b6d0c2efc8c20429f251da90b1d4"),
+    "swap/zp:3/json": (0, "fde56d88ec2c7419da55a0f3065645c47bd9cd82c100dad19b522f0dca4f3cd2"),
+    "swap/zp:3/text": (0, "e76aa519dd124a73895a4663bb4c16eec39970cd924e0484fbaff45602fa869d"),
+}
+
+
+def test_map_prints_the_recorded_bytes(tmp_path, capsys):
+    for name, doc in _map_documents().items():
+        path = _write(tmp_path, name + ".json", doc)
+        for coeff in ("q", "zp:3"):
+            for fmt in ("json", "text"):
+                argv = ["map", path, "--induced", "all", "--check-diagram"]
+                code, out, _ = _run(capsys, argv + ["--coeff", coeff, "--format", fmt])
+                digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+                assert (code, digest) == MAP_STDOUT_DIGESTS["%s/%s/%s" % (name, coeff, fmt)]
+                if (name, coeff, fmt) == ("swap", "q", "json"):
+                    induced = _result(out)["induced"]
+                    for kind in ("embedded", "assoc"):
+                        assert induced[kind]["degrees"]["1"]["matrix"] == [["-1"]]
 
 
 def test_map_builds_each_diagram_object_once(tmp_path, capsys, monkeypatch):

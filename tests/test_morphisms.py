@@ -321,3 +321,49 @@ def test_library_names_the_offending_edge_by_its_labels():
         with pytest.raises(MorphismError, match="^not a morphism: edge 'v0,v1' has no image$") as exc:
             induced(phi)
         assert exc.value.offending_edge == (0, 1)
+
+
+def _refuse_dense(*args, **kwargs):
+    raise AssertionError("the induced-map path builds no dense vector")
+
+
+@pytest.mark.parametrize("coeff", [Q, prime_field(3)], ids=["Q", "Z3"])
+def test_induced_maps_build_no_dense_vector(monkeypatch, coeff):
+    from hypermorse import exact
+
+    rng = random.Random(119)
+    docs = [generators.quotient_morphism_document(rng, 7, 14, 2, 5) for _ in range(4)]
+    docs += [generators.inclusion_morphism_document(rng, 7, 14, 2) for _ in range(4)]
+    phis = []
+    for doc in docs:
+        source, target = (
+            Hypergraph.from_labels(doc[side]["vertices"], doc[side]["hyperedges"])
+            for side in ("source", "target")
+        )
+        phis.append(HypergraphMorphism(source, target, doc["map"]))
+    monkeypatch.setattr(exact, "_dense", _refuse_dense)
+    monkeypatch.setattr(exact, "matvec", _refuse_dense)
+    classes = 0
+    for phi in phis:
+        for kind in ("lower", "embedded", "assoc"):
+            hm = induced_homology_map(phi, kind, coeff)
+            classes += sum(hm.betti_source())
+        assert check_commuting_diagram(phi, coeff) == (True, None)
+    assert classes
+
+
+def test_induced_map_of_a_non_chain_map_is_refused(h_226):
+    # on the hollow triangle, a degree-1 map keeping only v0v1 sends the
+    # 1-cycle to v0v1, which is not a cycle; degree 0 is the identity
+    from hypermorse import chains
+    from hypermorse.errors import InternalConsistencyError
+
+    delta = delta_closure(h_226)
+    edges = delta.edges_of_dim(1)
+    keep_01 = [{edges.index((0, 1)): 1} if e == (0, 1) else {} for e in edges]
+    ambient_map = [ExactMatrix.identity(3), ExactMatrix.from_sparse(3, 3, keep_01)]
+    for scc in (chains.inf_complex(h_226, Q, delta), chains.full_complex(delta, Q)):
+        hb = chains.HomologyBasis(scc)
+        assert hb.betti(1) == 1
+        with pytest.raises(InternalConsistencyError):
+            chains.induced_on_homology(hb, hb, ambient_map)
