@@ -3,22 +3,23 @@
 Everything here works inside the chain complex of an associated simplicial
 complex.  Sub-modules are represented by canonical basis matrices (columns in
 the ambient degree basis), so module equality is matrix equality.  Every
-matrix is built sparse, from its non-zeros: boundary blocks, inclusions,
-placed and merged bases and the restricted boundaries.  These are read off
-∂'s columns, with no matrix product: a unit generator e_i has column i of ∂
-as its image, only other generators combine columns, and each image is
-solved one non-zero dict at a time by a ColumnSolver that reads the unit
-basis columns below off.  Every operation is a pure function,
-but ∂_n of a complex over a ring is built once and kept on the (immutable)
-complex, so the sub-chain complexes and chain maps on one ΔH share it.
-Homology over Z uses the Smith invariant factors (Betti numbers and torsion
-coefficients); over Z/p it uses ranks.  Embedded and simplicial homology
-over Q are computed over Z, whose free ranks are the Betti numbers over Q
-(Q is flat over Z), so no Fraction is formed; a caller's own Q complex, the
-inf/sup bases the command line prints and HomologyBasis are still reduced
-over Q, by ranks and RREF.  HomologyBasis keeps its representatives as
-sparse columns in the ambient basis, and an induced map reduces the image
-of each with one solve, so no dense vector is built on that path either.
+matrix is built sparse, one column at a time as the formulas give it, and
+none is transposed: boundary blocks, inclusions, placed and merged bases,
+restricted boundaries, homology classes and their induced coordinates.  The
+restricted boundaries are read off ∂'s columns, with no matrix product: a
+unit generator e_i has column i of ∂ as its image, only other generators
+combine columns, and each image is solved one non-zero dict at a time by a
+ColumnSolver that reads the unit basis columns below off.  Every operation
+is a pure function, but ∂_n of a complex over a ring is built once and kept
+on the (immutable) complex, so the sub-chain complexes and chain maps on one
+ΔH share it.  Homology over Z uses the Smith invariant factors (Betti
+numbers and torsion coefficients); over Z/p it uses ranks.  Embedded and
+simplicial homology over Q are computed over Z, whose free ranks are the
+Betti numbers over Q (Q is flat over Z), so no Fraction is formed; a
+caller's own Q complex, the inf/sup bases the command line prints and
+HomologyBasis are still reduced over Q, by ranks and RREF.  HomologyBasis
+keeps its representatives as sparse ambient columns, and an induced map
+reduces the image of each with one solve.
 """
 
 from __future__ import annotations
@@ -71,13 +72,15 @@ def _boundary_block(cols, rows, coeff):
         return ExactMatrix.zeros(0, len(cols))
     index = {e: i for i, e in enumerate(rows)}
     signs = (coeff.normalize(1), coeff.normalize(-1))
-    entries = [{} for _ in rows]
-    for j, e in enumerate(cols):
+    columns = []
+    for e in cols:
+        col = {}
         for i in range(len(e)):
             r = index.get(e[:i] + e[i + 1 :])
             if r is not None:
-                entries[r][j] = signs[i % 2]
-    return ExactMatrix.from_sparse(len(rows), len(cols), entries)
+                col[r] = signs[i % 2]
+        columns.append(col)
+    return ExactMatrix.from_sparse_columns(len(rows), len(cols), columns)
 
 
 def _non_hyperedges(h, delta, n):
@@ -86,18 +89,17 @@ def _non_hyperedges(h, delta, n):
 
 def _place_rows(m, sub_cells, cells):
     """m, whose rows are indexed by sub_cells, with its rows moved to their
-    positions among cells (the other rows zero)."""
-    row_of = dict(zip(sub_cells, m.entries))
-    empty = {}
-    return ExactMatrix.from_sparse(len(cells), m.cols, [row_of.get(e, empty) for e in cells], m.zero)
+    positions among cells (the other rows zero): each column re-keyed."""
+    index = {e: i for i, e in enumerate(cells)}
+    at = [index[e] for e in sub_cells]
+    columns = [{at[i]: x for i, x in c.items()} for c in m.column_entries]
+    return ExactMatrix.from_sparse_columns(len(cells), m.cols, columns, m.zero)
 
 
 def _inclusion_matrix(ambient_edges, sub_edges):
     index = {e: i for i, e in enumerate(ambient_edges)}
-    entries = [{}] * len(ambient_edges)
-    for j, e in enumerate(sub_edges):
-        entries[index[e]] = {j: 1}
-    return ExactMatrix.from_sparse(len(ambient_edges), len(sub_edges), entries)
+    columns = [{index[e]: 1} for e in sub_edges]
+    return ExactMatrix.from_sparse_columns(len(ambient_edges), len(sub_edges), columns)
 
 
 class SubChainComplex:
@@ -126,10 +128,10 @@ class SubChainComplex:
             if n == 0:
                 restricted.append(ExactMatrix.zeros(0, self.basis[0].cols))
                 continue
-            faces = _boundary(ambient, n, coeff).transpose().entries
+            faces = _boundary(ambient, n, coeff).column_entries
             solver = self._solver(n - 1)
-            rows = [{} for _ in range(self.basis[n - 1].cols)]
-            for j, gen in enumerate(self.basis[n].transpose().entries):
+            columns = []
+            for j, gen in enumerate(self.basis[n].column_entries):
                 if len(gen) == 1 and 1 in gen.values():
                     # a unit generator e_i: its image is column i of ∂_n
                     (i,) = gen
@@ -145,9 +147,10 @@ class SubChainComplex:
                     raise MalformedSubcomplexError(
                         "boundary of degree-%d generator %d leaves the span below" % (n, j)
                     )
-                for i, y in x.items():
-                    rows[i][j] = y
-            restricted.append(ExactMatrix.from_sparse(len(rows), self.basis[n].cols, rows, zero))
+                columns.append(x)
+            restricted.append(
+                ExactMatrix.from_sparse_columns(self.basis[n - 1].cols, len(columns), columns, zero)
+            )
         self.restricted = tuple(restricted)
 
     @property
@@ -170,9 +173,6 @@ class SubChainComplex:
             return not any(ambient_vector)
         return self._solver(n).solve(list(ambient_vector)) is not None
 
-    def to_internal(self, n, ambient_vector):
-        return self._solver(n).solve(list(ambient_vector))
-
     def to_ambient(self, n, internal_vector):
         return exact.matvec(self.basis[n], internal_vector, self.coeff)
 
@@ -187,7 +187,14 @@ def full_complex(k, coeff):
 
 
 def coordinate_subcomplex(ambient, sub, coeff):
-    """C_*(sub) inside C_*(ambient) for a subcomplex given by its simplices."""
+    """C_*(sub) inside C_*(ambient) for a subcomplex given by its simplices.
+
+    ValueError, before anything is built, unless sub has the ambient's
+    vertex set and each of its simplices is one of the ambient's."""
+    if sub.vertex_set != ambient.vertex_set:
+        raise ValueError("the subcomplex must have the ambient's vertex set")
+    if not all(map(ambient.contains_edge, sub.edges)):
+        raise ValueError("not a subcomplex of the ambient: it has a simplex outside")
     basis = []
     for n in range(ambient.max_dimension() + 1):
         basis.append(_inclusion_matrix(ambient.edges_of_dim(n), sub.edges_of_dim(n)))
@@ -239,11 +246,11 @@ def sup_complex(h, coeff=Z, delta=None):
         # columns as {cell position: value}; the leading row is the least key
         cols = [
             {at[i]: x for i, x in col.items()}
-            for col in exact.canonical_basis(block, coeff).transpose().entries
+            for col in exact.canonical_basis(block, coeff).column_entries
         ]
         cols += [{i: 1} for i, e in enumerate(cells) if h.contains_edge(e)]
         cols.sort(key=min)
-        basis.append(ExactMatrix.from_sparse(len(cols), len(cells), cols).transpose())
+        basis.append(ExactMatrix.from_sparse_columns(len(cells), len(cols), cols))
     return SubChainComplex(delta, coeff, basis)
 
 
@@ -381,12 +388,12 @@ class HomologyBasis:
             else:
                 im = ExactMatrix.zeros(scc.rank_at(n), 0)
             both = im.hstack(ker)
-            cols = both.transpose().entries
+            cols = both.column_entries
             chosen = [cols[c] for c in exact.pivot_columns(both, coeff)]
-            chosen = ExactMatrix.from_sparse(len(chosen), both.rows, chosen).transpose()
+            chosen = ExactMatrix.from_sparse_columns(both.rows, len(chosen), chosen)
             ambient = exact.matmul(scc.basis[n], chosen, coeff)
             self._im_cols.append(im.cols)
-            self._reps.append(ambient.transpose().entries[im.cols :])
+            self._reps.append(ambient.column_entries[im.cols :])
             self._solvers.append(ColumnSolver(ambient, coeff))
 
     def betti(self, n):
@@ -430,8 +437,8 @@ def induced_on_homology(src, dst, ambient_map=None, top=None):
         # representatives only exist up to the source top degree, where the
         # (padded) chain map always has a matrix
         if images and ambient_map is not None:
-            reps = ExactMatrix.from_sparse(len(images), ambient_map[n].cols, images).transpose()
-            images = exact.matmul(ambient_map[n], reps, coeff).transpose().entries
-        rows = [dst.coordinates(n, image) for image in images]
-        mats.append(ExactMatrix.from_sparse(len(rows), dst.betti(n), rows, zero).transpose())
+            reps = ExactMatrix.from_sparse_columns(ambient_map[n].cols, len(images), images)
+            images = exact.matmul(ambient_map[n], reps, coeff).column_entries
+        cols = [dst.coordinates(n, image) for image in images]
+        mats.append(ExactMatrix.from_sparse_columns(dst.betti(n), len(cols), cols, zero))
     return mats

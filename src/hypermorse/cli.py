@@ -303,7 +303,7 @@ def _cmd_homology(args, out):
             edges = scc.ambient.edges_of_dim(n)
             cols = [
                 _chain_to_json(delta, {edges[i]: x for i, x in col.items()})
-                for col in scc.basis[n].transpose().entries
+                for col in scc.basis[n].column_entries
             ]
             bases[str(n)] = cols
         result["bases"] = bases

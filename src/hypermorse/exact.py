@@ -1,14 +1,15 @@
 """Exact matrices over Z, Q, Z/p and canonical sub-module computations.
 
-An ExactMatrix stores only its non-zeros: `entries` holds one {column:
-value} dict per row.  Entries are Python ints (Z and Z/p, stored as
-canonical residues) or Fractions (Q); there is no floating point.  The dense
-views `data`, `row_lists()` and `column()` are built on demand, for the
-public API and for small printed results; the homology path never builds
-them.  Products, transposes, stacks and the zero test run on the non-zeros.
+An ExactMatrix stores only its non-zeros: `column_entries` holds one {row:
+value} dict per column, the orientation in which the chain layer builds
+everything.  Entries are Python ints (Z and Z/p, stored as canonical
+residues) or Fractions (Q); there is no floating point.  The dense views
+`data`, `row_lists()` and `column()` are built on demand, for the public
+API and for small printed results; the homology path never builds them.
+Products, stacks and the zero test run on the non-zeros.
 
-There are two eliminations, each written once for Z, Q and Z/p.  Ranks
-and Smith invariant factors come from _markowitz, which takes its pivots in
+The eliminations take a matrix's stored columns as their rows.  Ranks and
+Smith invariant factors come from _markowitz, which takes its pivots in
 Markowitz order from a heap of costs re-keyed lazily, only for the entries a
 row operation created or changed: over Z only ±1 entries pivot and the rows
 left without unit entries go, still sparse, to _kernel.snf_decompose; over
@@ -17,16 +18,16 @@ rank is the number of non-zero invariant factors.
 
 Canonical bases make span-level statements testable as structural matrix
 equality: column Hermite normal form over Z (_kernel.hnf_rows) and reduced
-column echelon form over fields, both from _kernel.echelon, which takes its
-pivots in column order.  The same row reductions, with their transforms,
-factor the basis of a ColumnSolver, all but its unit columns (e_p with
-nothing else on row p), whose coefficients are read off the vector.  A
-matrix with no rows has the identity as its kernel basis, with no
-elimination.
+column echelon form over fields, both from _kernel.echelon.  The same
+reductions with their transforms (_factor) give kernels, the transform rows
+opposite zero rows, and factor the basis of a ColumnSolver, all but its
+unit columns (e_p with nothing else on row p), whose coefficients are read
+off the vector.  Only pivot_columns reduces a matrix's rows.
 """
 
 from __future__ import annotations
 
+import collections
 import heapq
 import math
 
@@ -43,6 +44,16 @@ def _dense(nonzeros, length, zero):
     return tuple(line)
 
 
+def _flip(lines, n):
+    """The n sparse lines crossing sparse lines: the rows of a matrix from
+    its columns, or the columns from its rows."""
+    out = [{} for _ in range(n)]
+    for j, line in enumerate(lines):
+        for i, x in line.items():
+            out[i][j] = x
+    return out
+
+
 def _first_zero(lines):
     # the zero a dense view shows: the first one given (0 or Fraction(0))
     for line in lines:
@@ -55,12 +66,12 @@ def _first_zero(lines):
 class ExactMatrix:
     """An immutable rows x cols matrix of exact scalars, stored sparse.
 
-    entries[i] is a {column: value} dict of the non-zeros of row i.  The
-    dicts may be shared between matrices and are never changed after
+    column_entries[j] is a {row: value} dict of the non-zeros of column j.
+    The dicts may be shared between matrices and are never changed after
     construction.  zero is the zero shown in the dense views.
     """
 
-    __slots__ = ("rows", "cols", "entries", "zero", "_data")
+    __slots__ = ("rows", "cols", "column_entries", "zero", "_data")
 
     def __init__(self, rows, cols, data):
         data = [tuple(r) for r in data]
@@ -68,18 +79,18 @@ class ExactMatrix:
             raise ValueError("inconsistent matrix shape")
         self.rows = rows
         self.cols = cols
-        self.entries = tuple({j: x for j, x in enumerate(r) if x} for r in data)
+        self.column_entries = tuple(_flip(({j: x for j, x in enumerate(r) if x} for r in data), cols))
         self.zero = _first_zero(data)
         self._data = None
 
     @classmethod
-    def from_sparse(cls, rows, cols, entries, zero=0):
-        """A matrix from one {column: value} dict of non-zeros per row.  The
+    def from_sparse_columns(cls, rows, cols, columns, zero=0):
+        """A matrix from one {row: value} dict of non-zeros per column.  The
         dicts are taken over, not copied or checked, and must not change."""
         m = cls.__new__(cls)
         m.rows = rows
         m.cols = cols
-        m.entries = tuple(entries)
+        m.column_entries = tuple(columns)
         m.zero = zero
         m._data = None
         return m
@@ -98,99 +109,87 @@ class ExactMatrix:
         columns = [tuple(c) for c in columns]
         if any(len(c) != nrows for c in columns):
             raise ValueError("column length mismatch")
-        entries = [{} for _ in range(nrows)]
-        for j, c in enumerate(columns):
-            for i, x in enumerate(c):
-                if x:
-                    entries[i][j] = x
-        return cls.from_sparse(nrows, len(columns), entries, _first_zero(columns))
+        sparse = [{i: x for i, x in enumerate(c) if x} for c in columns]
+        return cls.from_sparse_columns(nrows, len(columns), sparse, _first_zero(columns))
 
     @classmethod
     def identity(cls, n):
-        return cls.from_sparse(n, n, [{i: 1} for i in range(n)])
+        return cls.from_sparse_columns(n, n, [{i: 1} for i in range(n)])
 
     @classmethod
     def zeros(cls, rows, cols):
-        return cls.from_sparse(rows, cols, [{}] * rows)
+        return cls.from_sparse_columns(rows, cols, [{}] * cols)
 
     @property
     def data(self):
         """The dense rows as a tuple of tuples, built on first use."""
         if self._data is None:
-            self._data = tuple(_dense(r, self.cols, self.zero) for r in self.entries)
+            rows = _flip(self.column_entries, self.rows)
+            self._data = tuple(_dense(r, self.cols, self.zero) for r in rows)
         return self._data
 
     def row_lists(self):
         return [list(r) for r in self.data]
 
     def column(self, j):
-        return _dense({i: r[j] for i, r in enumerate(self.entries) if j in r}, self.rows, self.zero)
+        return _dense(self.column_entries[j], self.rows, self.zero)
 
     def columns(self):
-        return [_dense(c, self.rows, self.zero) for c in self.transpose().entries]
+        return [_dense(c, self.rows, self.zero) for c in self.column_entries]
 
     def transpose(self):
-        out = [{} for _ in range(self.cols)]
-        for i, row in enumerate(self.entries):
-            for j, x in row.items():
-                out[j][i] = x
-        return ExactMatrix.from_sparse(self.cols, self.rows, out, self.zero)
+        rows = _flip(self.column_entries, self.rows)
+        return ExactMatrix.from_sparse_columns(self.cols, self.rows, rows, self.zero)
 
     def hstack(self, other):
         if other.rows != self.rows:
             raise ValueError("row count mismatch in hstack")
-        shift = self.cols
-        entries = []
-        for a, b in zip(self.entries, other.entries):
-            row = dict(a)
-            for j, x in b.items():
-                row[j + shift] = x
-            entries.append(row)
         # the zero the dense view shows first
-        full = sum(map(len, self.entries)) == self.rows * self.cols
+        full = sum(map(len, self.column_entries)) == self.rows * self.cols
         zero = other.zero if full else self.zero
-        return ExactMatrix.from_sparse(self.rows, self.cols + other.cols, entries, zero)
+        columns = self.column_entries + other.column_entries
+        return ExactMatrix.from_sparse_columns(self.rows, self.cols + other.cols, columns, zero)
 
     def negate(self):
-        return ExactMatrix.from_sparse(
-            self.rows, self.cols, [{j: -x for j, x in r.items()} for r in self.entries], self.zero
-        )
+        columns = [{i: -x for i, x in c.items()} for c in self.column_entries]
+        return ExactMatrix.from_sparse_columns(self.rows, self.cols, columns, self.zero)
 
     def is_zero(self):
-        return not any(self.entries)
+        return not any(self.column_entries)
 
     def __eq__(self, other):
         return (
             isinstance(other, ExactMatrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.entries == other.entries
+            and self.column_entries == other.column_entries
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, tuple(frozenset(r.items()) for r in self.entries)))
+        return hash((self.rows, self.cols, tuple(frozenset(c.items()) for c in self.column_entries)))
 
     def __repr__(self):
         return "ExactMatrix(%dx%d)" % (self.rows, self.cols)
 
 
-def _normalized(rows, coeff):
-    """Fresh sparse rows of the canonical values of rows' entries, those that
-    vanish dropped."""
+def _normalized(lines, coeff):
+    """Fresh sparse lines of the canonical values of lines' entries, those
+    that vanish dropped."""
     norm = coeff.normalize
     out = []
-    for r in rows:
-        row = {}
-        for j, x in r.items():
+    for line in lines:
+        fresh = {}
+        for j, x in line.items():
             x = norm(x)
             if x:
-                row[j] = x
-        out.append(row)
+                fresh[j] = x
+        out.append(fresh)
     return out
 
 
 def normalize(m, coeff):
-    return ExactMatrix.from_sparse(m.rows, m.cols, _normalized(m.entries, coeff), coeff.normalize(0))
+    columns = _normalized(m.column_entries, coeff)
+    return ExactMatrix.from_sparse_columns(m.rows, m.cols, columns, coeff.normalize(0))
 
 
 def matmul(a, b, coeff):
@@ -198,36 +197,32 @@ def matmul(a, b, coeff):
     sum, and the zeros of the dense view are coeff.normalize(0)."""
     if a.cols != b.rows:
         raise ValueError("shape mismatch in matmul")
-    b_rows = b.entries
+    a_cols = a.column_entries
     norm = coeff.normalize
     out = []
-    for ar in a.entries:
+    for bc in b.column_entries:
         sums = {}
-        for k, x in ar.items():
-            for j, y in b_rows[k].items():
-                sums[j] = sums.get(j, 0) + x * y
-        row = {}
-        for j, s in sums.items():
+        for k, y in bc.items():
+            for i, x in a_cols[k].items():
+                sums[i] = sums.get(i, 0) + x * y
+        col = {}
+        for i, s in sums.items():
             s = norm(s)
             if s:
-                row[j] = s
-        out.append(row)
-    return ExactMatrix.from_sparse(a.rows, b.cols, out, norm(0))
+                col[i] = s
+        out.append(col)
+    return ExactMatrix.from_sparse_columns(a.rows, b.cols, out, norm(0))
 
 
 def matvec(a, vec, coeff):
     if a.cols != len(vec):
         raise ValueError("shape mismatch in matvec")
-    norm = coeff.normalize
-    out = []
-    for r in a.entries:
-        s = 0
-        for k, x in r.items():
-            y = vec[k]
-            if y:
-                s += x * y
-        out.append(norm(s))
-    return out
+    out = [0] * a.rows
+    for y, col in zip(vec, a.column_entries):
+        if y:
+            for i, x in col.items():
+                out[i] += x * y
+    return [coeff.normalize(s) for s in out]
 
 
 def _modulus(coeff):
@@ -239,8 +234,9 @@ def _modulus(coeff):
 def pivot_columns(m, coeff):
     """Indices of the columns of m outside the span of the columns before
     them (field coefficients): the greedy rank-increasing choice, read off one
-    row reduction."""
-    _, pivots = _kernel.echelon(_normalized(m.entries, coeff), _modulus(coeff))
+    reduction of m's rows."""
+    rows = _normalized(_flip(m.column_entries, m.rows), coeff)
+    _, pivots = _kernel.echelon(rows, _modulus(coeff))
     return [c for _, c in pivots]
 
 
@@ -248,15 +244,29 @@ def pivot_columns(m, coeff):
 # canonical bases, kernels, solving
 
 
-def _row_basis(rows, ncols, coeff):
-    """The canonical row basis (HNF over Z, RREF over fields) of sparse rows
-    as a matrix whose columns are the basis vectors."""
+def _span_basis(vectors, length, coeff):
+    """The canonical basis (HNF over Z, RREF over fields) of the span of
+    sparse vectors of the given length, as a matrix with the basis vectors
+    as its columns."""
     if coeff.kind == "Z":
-        h = _kernel.hnf_rows(rows)
+        h = _kernel.hnf_rows(vectors)
     else:
-        _, pivots = _kernel.echelon(rows, _modulus(coeff))
-        h = rows[: len(pivots)]
-    return ExactMatrix.from_sparse(len(h), ncols, h, coeff.normalize(0)).transpose()
+        h = _normalized(vectors, coeff)
+        _, pivots = _kernel.echelon(h, _modulus(coeff))
+        h = h[: len(pivots)]
+    return ExactMatrix.from_sparse_columns(length, len(h), h, coeff.normalize(0))
+
+
+def _factor(columns, coeff):
+    """(h, u): the echelon form h of sparse columns taken as rows (HNF over
+    Z, RREF over fields), with its zero rows last, and the transform u with
+    u * columns = h.  The rows of u opposite the zero rows of h are a basis
+    of the relations among the columns."""
+    if coeff.kind == "Z":
+        return _kernel.hnf_rows_with_transform(columns)
+    h = _normalized(columns, coeff)
+    u, _ = _kernel.echelon(h, _modulus(coeff), True)
+    return h, u
 
 
 def canonical_basis(m, coeff):
@@ -264,10 +274,7 @@ def canonical_basis(m, coeff):
 
     Zero columns are dropped; equal spans yield identical matrices.
     """
-    rows = m.transpose().entries
-    if coeff.kind != "Z":
-        rows = _normalized(rows, coeff)
-    return _row_basis(rows, m.rows, coeff)
+    return _span_basis(m.column_entries, m.rows, coeff)
 
 
 def hermite_basis(m):
@@ -278,31 +285,17 @@ def hermite_basis(m):
 def kernel_basis(m, coeff):
     """Canonical basis (columns) of {x : m*x = 0} over the given ring.
 
-    Over Z this is a basis of the full kernel lattice (which is saturated),
-    read off the transform rows opposite the zero rows of the HNF of the
-    transpose.  Over a field it is read off the free columns of the RREF of
-    m: each free column f gives x_f = 1 and x_c = -h[r][f] at the pivot
-    column c of row r.  A matrix with no rows has the identity as kernel.
+    The transform rows opposite the zero rows of m's reduced columns
+    (_factor) are relations among the columns that span them all: over Z a
+    basis of the full kernel lattice (which is saturated), over a field of
+    the kernel space.  Their canonical basis is returned.  A matrix with no
+    rows has the identity as kernel, with no elimination.
     """
     if not m.rows:
-        one = coeff.normalize(1)
-        units = [{i: one} for i in range(m.cols)]
-        return ExactMatrix.from_sparse(m.cols, m.cols, units, coeff.normalize(0))
-    if coeff.kind == "Z":
-        h, u = _kernel.hnf_rows_with_transform(m.transpose().entries)
-        return _row_basis(u[sum(map(bool, h)) :], m.cols, coeff)
-    norm = coeff.normalize
-    h = _normalized(m.entries, coeff)
-    _, pivots = _kernel.echelon(h, _modulus(coeff))
-    pivot_cols = {c for _, c in pivots}
-    one = norm(1)
-    rows = {f: {f: one} for f in range(m.cols) if f not in pivot_cols}
-    for r, c in pivots:
-        # the other non-zeros of an RREF row all sit in free columns
-        for f, y in h[r].items():
-            if f != c:
-                rows[f][c] = norm(-y)
-    return _row_basis(list(rows.values()), m.cols, coeff)
+        units = [{i: coeff.normalize(1)} for i in range(m.cols)]
+        return ExactMatrix.from_sparse_columns(m.cols, m.cols, units, coeff.normalize(0))
+    h, u = _factor(m.column_entries, coeff)
+    return _span_basis(u[sum(map(bool, h)) :], m.cols, coeff)
 
 
 class ColumnSolver:
@@ -311,8 +304,8 @@ class ColumnSolver:
     A unit column is a basis column equal to e_p whose row p has no other
     non-zero.  Its coefficient is read off: x_j = vec_p, whatever the other
     columns are, because they are all zero on row p and it is zero on every
-    other row.  Only the transpose of the other columns is row reduced, once
-    and with its transform: HNF over Z, RREF over fields, on sparse rows.  A
+    other row.  Only the other columns are reduced, once and with the
+    transform (_factor): HNF over Z, RREF over fields, on sparse lines.  A
     solve reads off the unit coefficients, clears the rest of the residual
     pivot by pivot and sums the transform rows it used.
     """
@@ -320,23 +313,19 @@ class ColumnSolver:
     def __init__(self, basis, coeff):
         self.basis = basis
         self.coeff = coeff
-        rows = basis.entries
+        columns = basis.column_entries
+        row_nnz = collections.Counter(i for col in columns for i in col)
         self._unit_of = {}  # row p -> the unit column e_p
         at, rest = [], []  # the other columns and their indices
-        for j, col in enumerate(basis.transpose().entries):
+        for j, col in enumerate(columns):
             if len(col) == 1:
                 ((p, x),) = col.items()
-                if x == 1 and len(rows[p]) == 1:
+                if x == 1 and row_nnz[p] == 1:
                     self._unit_of[p] = j
                     continue
             at.append(j)
             rest.append(col)
-        h, u = (), ()
-        if rest and coeff.kind == "Z":
-            h, u = _kernel.hnf_rows_with_transform(rest)
-        elif rest:
-            h = _normalized(rest, coeff)
-            u, _ = _kernel.echelon(h, _modulus(coeff), True)
+        h, u = _factor(rest, coeff) if rest else ((), ())
         pivots = [(k, min(row)) for k, row in enumerate(h) if row]
         if self._unit_of:
             # the transform rows index the factored columns: give the ones a
@@ -417,19 +406,20 @@ class ColumnSolver:
 def _markowitz(rows, p=0):
     """Sparse elimination of rows, in place, pivots in Markowitz order.
 
-    With p == 0 the rows are integer and only ±1 entries pivot; with a prime
-    p they are residues mod p and every non-zero pivots.  A pivot of least
-    cost (row nnz - 1)*(column nnz - 1), ties to the lowest row and then
-    column, clears its column by row operations, and its row and column
-    then split off.  Costs sit in a heap and are re-keyed lazily: a row
-    operation pushes again only the entries it created or changed (those in
-    the pivot row's columns), and an entry popped at a cost below its
-    current one goes back at the current cost.  A cost that fell (the pivot
-    row left its column, or a row operation shortened its row) is not
-    pushed again, so such an entry may be taken a little late; the order is
-    approximate, and the rank and the Smith form do not depend on it.
-    Returns the number of pivots and the rows left over (over Z/p there
-    are none).
+    The rows are the stored columns of a matrix (rank and the Smith form do
+    not depend on the orientation).  With p == 0 they are integer and only
+    ±1 entries pivot; with a prime p they are residues mod p and every
+    non-zero pivots.  A pivot of least cost (row nnz - 1)*(column nnz - 1),
+    ties to the lowest row (the lowest stored column) and then column,
+    clears its column by row operations, and its row and column then split
+    off.  Costs sit in a heap and are re-keyed lazily: a row operation
+    pushes again only the entries it created or changed (those in the pivot
+    row's columns), and an entry popped at a cost below its current one
+    goes back at the current cost.  A cost that fell (the pivot row left its
+    column, or a row operation shortened its row) is not pushed again, so
+    such an entry may be taken a little late; the order is approximate, and
+    the rank and the Smith form do not depend on it.  Returns the number of
+    pivots and the rows left over (over Z/p there are none).
     """
     live = {i: row for i, row in enumerate(rows) if row}
     col = _kernel.column_index(rows)
@@ -490,27 +480,34 @@ def _smith(rows):
 
 def rank(m, coeff):
     if coeff.kind == "Zp":
-        return _markowitz(_normalized(m.entries, coeff), coeff.p)[0]
+        return _markowitz(_normalized(m.column_entries, coeff), coeff.p)[0]
     if coeff.kind == "Z":
         return len(snf_diagonal(m))
-    rows = []
-    for r in m.entries:
-        # scaling a row by a non-zero integer keeps the rank over Q
-        scale = math.lcm(*(x.denominator for x in r.values()))
-        rows.append({j: x.numerator * (scale // x.denominator) for j, x in r.items()})
-    return len(_smith(rows))
+    columns = []
+    for c in m.column_entries:
+        # scaling a column by a non-zero integer keeps the rank over Q
+        scale = math.lcm(*(x.denominator for x in c.values()))
+        columns.append({i: x.numerator * (scale // x.denominator) for i, x in c.items()})
+    return len(_smith(columns))
 
 
 def snf_diagonal(m):
     """The non-zero diagonal entries of the Smith normal form, in
     divisibility order: unit pivots are cancelled sparsely in Markowitz
     order and the rows left without unit entries go to
-    _kernel.snf_decompose."""
-    return _smith([dict(r) for r in m.entries])
+    _kernel.snf_decompose.  The Smith form of the transpose is the same, so
+    the stored columns are eliminated as they are."""
+    return _smith([dict(c) for c in m.column_entries])
 
 
 # ---------------------------------------------------------------------------
 # module-level operations (sums, intersections, preimages of spans)
+
+
+def _top_rows(m, n):
+    """The first n rows of m."""
+    columns = [{i: x for i, x in c.items() if i < n} for c in m.column_entries]
+    return ExactMatrix.from_sparse_columns(n, m.cols, columns, m.zero)
 
 
 def module_sum(a, b, coeff):
@@ -526,10 +523,8 @@ def module_intersection(a, b, coeff):
         raise ValueError("ambient dimension mismatch")
     if a.cols == 0 or b.cols == 0:
         return ExactMatrix.zeros(a.rows, 0)
-    block = a.hstack(b.negate())
-    ker = kernel_basis(block, coeff)
-    xpart = ExactMatrix.from_sparse(a.cols, ker.cols, ker.entries[: a.cols], ker.zero)
-    return canonical_basis(matmul(a, xpart, coeff), coeff)
+    ker = kernel_basis(a.hstack(b.negate()), coeff)
+    return canonical_basis(matmul(a, _top_rows(ker, a.cols), coeff), coeff)
 
 
 def preimage_module(map_matrix, target_basis, coeff):
@@ -541,7 +536,5 @@ def preimage_module(map_matrix, target_basis, coeff):
         return ExactMatrix.zeros(0, 0)
     if target_basis.cols == 0:
         return kernel_basis(map_matrix, coeff)
-    block = map_matrix.hstack(target_basis.negate())
-    ker = kernel_basis(block, coeff)
-    xpart = ExactMatrix.from_sparse(s, ker.cols, ker.entries[:s], ker.zero)
-    return canonical_basis(xpart, coeff)
+    ker = kernel_basis(map_matrix.hstack(target_basis.negate()), coeff)
+    return canonical_basis(_top_rows(ker, s), coeff)

@@ -137,15 +137,15 @@ def chain_map(sm, coeff):
         dom = src.edges_of_dim(n)
         cod = dst.edges_of_dim(n)
         index = {e: i for i, e in enumerate(cod)}
-        entries = [{} for _ in cod]
-        for j, simplex in enumerate(dom):
+        columns = []
+        for simplex in dom:
             images = [sm.vertex_map[i] for i in simplex]
             if len(set(images)) != len(images):
-                continue
-            entries[index[tuple(sorted(images))]][j] = coeff.normalize(
-                _permutation_sign(images)
-            )
-        mats.append(ExactMatrix.from_sparse(len(cod), len(dom), entries))
+                columns.append({})
+            else:
+                sign = coeff.normalize(_permutation_sign(images))
+                columns.append({index[tuple(sorted(images))]: sign})
+        mats.append(ExactMatrix.from_sparse_columns(len(cod), len(dom), columns))
     for n in range(1, top + 1):
         left = exact.matmul(chains._boundary(dst, n, coeff), mats[n], coeff)
         right = exact.matmul(mats[n - 1], chains._boundary(src, n, coeff), coeff)

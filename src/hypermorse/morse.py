@@ -264,16 +264,18 @@ def _linear_map(v, coeff):
         dom = host.edges_of_dim(n)
         cod = host.edges_of_dim(n + 1)
         index = {e: i for i, e in enumerate(cod)}
-        entries = [{} for _ in cod]
-        for j, alpha in enumerate(dom):
+        columns = []
+        for alpha in dom:
+            col = {}
             for beta in by_pair.get(alpha, ()):
-                row = entries[index[beta]]
-                x = coeff.normalize(row.get(j, 0) - chains.incidence(beta, alpha))
+                i = index[beta]
+                x = coeff.normalize(col.get(i, 0) - chains.incidence(beta, alpha))
                 if x:
-                    row[j] = x
+                    col[i] = x
                 else:
-                    row.pop(j, None)
-        mats.append(ExactMatrix.from_sparse(len(cod), len(dom), entries))
+                    col.pop(i, None)
+            columns.append(col)
+        mats.append(ExactMatrix.from_sparse_columns(len(cod), len(dom), columns))
     return GradedLinearMap(host, coeff, tuple(mats))
 
 
@@ -287,14 +289,10 @@ def apply_linear_map(glm, chain):
         n = hypercore.edge_dimension(alpha)
         if n >= len(glm.matrices):
             continue
-        mat = glm.matrices[n]
-        dom = host.edges_of_dim(n)
         cod = host.edges_of_dim(n + 1)
-        j = dom.index(alpha)
-        for i, beta in enumerate(cod):
-            x = mat.entries[i].get(j)
-            if x:
-                out[beta] = glm.coeff.normalize(out.get(beta, 0) + c * x)
+        col = glm.matrices[n].column_entries[host.edges_of_dim(n).index(alpha)]
+        for i, x in sorted(col.items()):
+            out[cod[i]] = glm.coeff.normalize(out.get(cod[i], 0) + c * x)
     return {e: c for e, c in out.items() if c}
 
 
@@ -545,7 +543,7 @@ def _column_images(v):
     image = {}
     for n, mat in enumerate(linear_map(v, Z).matrices):
         cod = host.edges_of_dim(n + 1)
-        for alpha, col in zip(host.edges_of_dim(n), mat.transpose().entries):
+        for alpha, col in zip(host.edges_of_dim(n), mat.column_entries):
             if len(col) > 1 or any(x not in (1, -1) for x in col.values()):
                 raise InternalConsistencyError("gradient column is not a signed unit vector")
             image[alpha] = cod[next(iter(col))] if col else None

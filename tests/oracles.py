@@ -852,7 +852,7 @@ def markowitz_repush_oracle(rows, p=0):
 def markowitz_repush_smith_oracle(m):
     """Non-zero Smith invariant factors of an integer matrix: a 1 per unit
     pivot of markowitz_repush_oracle, then the dense SNF of the rest."""
-    units, rest = markowitz_repush_oracle([dict(r) for r in m.entries])
+    units, rest = markowitz_repush_oracle([dict(c) for c in m.column_entries])
     if not rest:
         return [1] * units
     cols = sorted({j for row in rest for j in row})

@@ -219,7 +219,7 @@ def test_homology_basis_reduction_roundtrip(h_section6):
     # every boundary reduces to zero, and a cycle plus a boundary to the
     # coordinates of the cycle
     for n in (1, 2):
-        images = matmul(boundary_matrix(inf.ambient, n, Q), inf.basis[n], Q).transpose().entries
+        images = matmul(boundary_matrix(inf.ambient, n, Q), inf.basis[n], Q).column_entries
         for image in images:
             assert hb.coordinates(n - 1, image) == {}
         if n == 1:
@@ -254,6 +254,21 @@ def test_coordinate_subcomplex_lower(h_section6):
     direct = simplicial_homology(low, Z)
     for n in range(max(len(res.groups), len(direct.groups))):
         assert res.group(n) == direct.group(n)
+
+
+def test_coordinate_subcomplex_refuses_a_sub_outside_the_ambient():
+    # the filled triangle is not a subcomplex of the hollow one: dropping
+    # its 2-cell would report (1, 1) for its homology, (1, 0, 0)
+    filled = delta_closure(Hypergraph.from_labels(["a", "b", "c"], [["a", "b", "c"]]))
+    hollow = delta_closure(Hypergraph.from_labels(["a", "b", "c"], [["a", "b"], ["b", "c"], ["a", "c"]]))
+    assert subcomplex_homology(coordinate_subcomplex(filled, filled, Z)).betti == (1, 0, 0)
+    with pytest.raises(ValueError, match="not a subcomplex"):
+        coordinate_subcomplex(hollow, filled, Z)
+    # a sub on another vertex set
+    bigger = delta_closure(Hypergraph.from_labels(["a", "b", "c", "d"], [["c", "d"]]))
+    with pytest.raises(ValueError, match="vertex set"):
+        coordinate_subcomplex(hollow, bigger, Z)
+    assert subcomplex_homology(coordinate_subcomplex(filled, hollow, Z)).betti == (1, 1, 0)
 
 
 def test_edge_module_matrix(h_section6):
@@ -518,6 +533,31 @@ def test_embedded_homology_builds_no_dense_matrix(monkeypatch):
         ExactMatrix.identity(2).data
     for h, results in zip(hypergraphs, want):
         assert [embedded_homology(h, coeff) for coeff in rings] == results
+
+
+def test_homology_path_builds_no_transpose(monkeypatch):
+    # every matrix on the homology path is built and read as columns
+    rng = random.Random(413)
+    hypergraphs = [_simplex(4)] + [generators.random_hypergraph(rng, 7, 16) for _ in range(20)]
+    rings = (Z, Q, prime_field(3))
+
+    def results():
+        out = []
+        for h, coeff in ((h, coeff) for h in hypergraphs for coeff in rings):
+            delta = delta_closure(h)
+            out.append(embedded_homology(h, coeff))
+            out.append(simplicial_homology(delta, coeff))
+            out.append(subcomplex_homology(inf_complex(h, coeff, delta)))
+            out.append(subcomplex_homology(sup_complex(h, coeff, delta)))
+        return out
+
+    want = results()
+
+    def refuse(self):
+        raise AssertionError("a transpose was built on the homology path")
+
+    monkeypatch.setattr(ExactMatrix, "transpose", refuse)
+    assert results() == want
 
 
 def test_embedded_homology_builds_each_boundary_once(monkeypatch, h_section6, hp_224):

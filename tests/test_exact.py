@@ -587,7 +587,7 @@ def test_column_solver_reads_unit_columns_off(coeff):
         seen["dependent"] += not independent
         for _ in range(3):
             x = [rng.randint(-3, 3) for _ in range(m.cols)]
-            inside = [sum(v * x[k] for k, v in row.items()) for row in m.entries]
+            inside = [sum(v * y for v, y in zip(row, x)) for row in m.data]
             other = [rng.randint(-3, 3) for _ in range(m.rows)]
             for vec in (inside, other):
                 got, want = sparse.solve(vec), dense.solve(vec)
@@ -649,7 +649,7 @@ def test_markowitz_with_fill_in_matches_oracles(monkeypatch):
         z3 = prime_field(3)
         r3 = oracles.dense_rank(m, z3)
         assert rank(m, z3) == r3
-        assert oracles.markowitz_repush_oracle(list(normalize(m, z3).entries), 3)[0] == r3
+        assert oracles.markowitz_repush_oracle(list(normalize(m, z3).column_entries), 3)[0] == r3
     assert sum(fills) > 1000
 
 

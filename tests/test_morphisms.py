@@ -361,7 +361,7 @@ def test_induced_map_of_a_non_chain_map_is_refused(h_226):
     delta = delta_closure(h_226)
     edges = delta.edges_of_dim(1)
     keep_01 = [{edges.index((0, 1)): 1} if e == (0, 1) else {} for e in edges]
-    ambient_map = [ExactMatrix.identity(3), ExactMatrix.from_sparse(3, 3, keep_01)]
+    ambient_map = [ExactMatrix.identity(3), ExactMatrix.from_sparse_columns(3, 3, keep_01)]
     for scc in (chains.inf_complex(h_226, Q, delta), chains.full_complex(delta, Q)):
         hb = chains.HomologyBasis(scc)
         assert hb.betti(1) == 1
