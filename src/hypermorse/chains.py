@@ -17,9 +17,9 @@ numbers and torsion coefficients); over Z/p it uses ranks.  Embedded and
 simplicial homology over Q are computed over Z, whose free ranks are the
 Betti numbers over Q (Q is flat over Z), so no Fraction is formed; a
 caller's own Q complex, the inf/sup bases the command line prints and
-HomologyBasis are still reduced over Q, by ranks and RREF.  HomologyBasis
-keeps its representatives as sparse ambient columns, and an induced map
-reduces the image of each with one solve.
+HomologyBasis are still reduced over Q.  HomologyBasis reads its classes
+off the canonical kernel basis, in three eliminations per degree, and
+solves a cycle with the complex's own ColumnSolver.
 """
 
 from __future__ import annotations
@@ -168,10 +168,11 @@ class SubChainComplex:
         return self._solvers[n]
 
     def contains(self, n, ambient_vector):
-        """Membership of an ambient degree-n vector in the degree-n module."""
+        """Membership of a dense or {index: value} degree-n vector in the module."""
         if not 0 <= n <= self.top:
-            return not any(ambient_vector)
-        return self._solver(n).solve(list(ambient_vector)) is not None
+            values = ambient_vector.values() if isinstance(ambient_vector, dict) else ambient_vector
+            return not any(map(self.coeff.normalize, values))
+        return self._solver(n).solve(ambient_vector) is not None
 
     def to_ambient(self, n, internal_vector):
         return exact.matvec(self.basis[n], internal_vector, self.coeff)
@@ -366,35 +367,33 @@ class HomologyBasis:
     """Deterministic homology representatives of a sub-chain complex over a
     field, with reduction of cycles to class coordinates.
 
-    In each degree the representatives are the columns of the canonical
-    kernel basis that raise the rank of the canonical image basis, taken
-    greedily in column order.  They are read off the pivot columns of a
-    single row reduction of [im | ker]; im's columns are independent, so
-    they are all pivots and come first.  The chosen columns are kept in the
-    ambient basis, as the sparse columns of basis[n] * [im | reps], and one
-    ColumnSolver on that product reduces an ambient cycle in one solve.
+    In each degree the representatives are the columns K_j of the canonical
+    kernel basis K that raise the rank of the boundaries, taken greedily:
+    those j at which no boundary's K-coordinates (its entries at K's RREF
+    pivot rows) end.  Indexed from the last (k - 1 - j), the other j are the
+    pivots of the canonical basis of those K-coordinates, whose rows reduce
+    a solved cycle's K-coordinates to class coordinates.
     """
 
     def __init__(self, scc):
         if not scc.coeff.is_field:
             raise ValueError("homology bases require field coefficients")
         self.scc = scc
-        coeff = scc.coeff
-        self._im_cols, self._reps, self._solvers = [], [], []
+        self._reps, self._reduce = [], []
         for n in range(scc.top + 1):
-            ker = exact.kernel_basis(scc.restricted[n], coeff)
-            if n < scc.top:
-                im = exact.canonical_basis(scc.restricted[n + 1], coeff)
-            else:
-                im = ExactMatrix.zeros(scc.rank_at(n), 0)
-            both = im.hstack(ker)
-            cols = both.column_entries
-            chosen = [cols[c] for c in exact.pivot_columns(both, coeff)]
-            chosen = ExactMatrix.from_sparse_columns(both.rows, len(chosen), chosen)
-            ambient = exact.matmul(scc.basis[n], chosen, coeff)
-            self._im_cols.append(im.cols)
-            self._reps.append(ambient.column_entries[im.cols :])
-            self._solvers.append(ColumnSolver(ambient, coeff))
+            ker = exact.kernel_basis(scc.restricted[n], scc.coeff)
+            cols, k = ker.column_entries, ker.cols
+            at = {min(col): k - 1 - j for j, col in enumerate(cols)}  # K_j's pivot row -> k-1-j
+            im = scc.restricted[n + 1].column_entries if n < scc.top else ()
+            im = [{at[p]: x for p, x in col.items() if p in at} for col in im]
+            ends = {}  # k-1-j -> the boundary basis row starting there
+            if any(im):
+                im = ExactMatrix.from_sparse_columns(k, len(im), im)
+                ends = {min(r): r for r in exact.canonical_basis(im, scc.coeff).column_entries}
+            chosen = [j for j in range(k) if k - 1 - j not in ends]
+            reps = ExactMatrix.from_sparse_columns(ker.rows, len(chosen), [cols[j] for j in chosen])
+            self._reps.append(exact.matmul(scc.basis[n], reps, scc.coeff).column_entries)
+            self._reduce.append((at, ends, {k - 1 - j: i for i, j in enumerate(chosen)}))
 
     def betti(self, n):
         return len(self.representatives(n))
@@ -409,13 +408,23 @@ class HomologyBasis:
         as a {cell index: value} dict.  InternalConsistencyError for a chain
         outside the cycles of the complex, such as any non-empty chain in a
         degree above its top."""
-        if 0 <= n < len(self._solvers):
-            x, im = self._solvers[n].solve(cycle), self._im_cols[n]
-        else:
-            x, im = (None if cycle else {}), 0
+        scc = self.scc
+        x = scc._solver(n).solve(cycle) if 0 <= n <= scc.top else None if cycle else {}
+        if x:
+            chain = ExactMatrix.from_sparse_columns(scc.rank_at(n), 1, [x])
+            x = x if exact.matmul(scc.restricted[n], chain, scc.coeff).is_zero() else None
         if x is None:
             raise InternalConsistencyError("degree-%d chain is not a cycle of the complex" % n)
-        return {j - im: y for j, y in x.items() if j >= im}
+        if not x:
+            return {}
+        at, ends, index = self._reduce[n]
+        c = {at[p]: y for p, y in x.items() if p in at}
+        for r, row in ends.items():
+            q = c.get(r)
+            if q:
+                for i, y in row.items():
+                    c[i] = scc.coeff.normalize(c.get(i, 0) - q * y)
+        return {index[r]: y for r, y in c.items() if r in index and y}
 
 
 def induced_on_homology(src, dst, ambient_map=None, top=None):

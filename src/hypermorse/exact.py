@@ -22,7 +22,7 @@ column echelon form over fields, both from _kernel.echelon.  The same
 reductions with their transforms (_factor) give kernels, the transform rows
 opposite zero rows, and factor the basis of a ColumnSolver, all but its
 unit columns (e_p with nothing else on row p), whose coefficients are read
-off the vector.  Only pivot_columns reduces a matrix's rows.
+off the vector.
 """
 
 from __future__ import annotations
@@ -229,15 +229,6 @@ def _modulus(coeff):
     """The modulus of row operations over coeff: p over Z/p, else 0 (which is
     also _kernel.echelon's p over Q)."""
     return coeff.p if coeff.kind == "Zp" else 0
-
-
-def pivot_columns(m, coeff):
-    """Indices of the columns of m outside the span of the columns before
-    them (field coefficients): the greedy rank-increasing choice, read off one
-    reduction of m's rows."""
-    rows = _normalized(_flip(m.column_entries, m.rows), coeff)
-    _, pivots = _kernel.echelon(rows, _modulus(coeff))
-    return [c for _, c in pivots]
 
 
 # ---------------------------------------------------------------------------

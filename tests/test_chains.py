@@ -9,6 +9,7 @@ from hypermorse.chains import (
     coordinate_subcomplex,
     edge_module_matrix,
     embedded_homology,
+    full_complex,
     incidence,
     inf_complex,
     projection,
@@ -187,6 +188,21 @@ def test_inclusion_chain_inf_inside_sup():
                 assert sup.contains(n, inf.basis[n].column(j))
             for j in range(sup.basis[n].cols):
                 assert len(sup.basis[n].column(j)) == len(delta.edges_of_dim(n))
+
+
+def test_contains_reads_sparse_chains_by_index():
+    # the hollow triangle's closure, and its coordinate subcomplex without ab
+    tri = delta_closure(Hypergraph.from_labels(["a", "b", "c"], [["a", "b"], ["b", "c"], ["a", "c"]]))
+    assert tri.edges_of_dim(1) == ((0, 1), (0, 2), (1, 2))
+    sub = coordinate_subcomplex(tri, Hypergraph(tri.vertex_set, [(0,), (1,), (2,), (0, 2), (1, 2)]), Z)
+    # e0 + e1 + e2 uses ab, in whatever order its entries come
+    assert not sub.contains(1, {0: 1, 1: 1, 2: 1})
+    assert not sub.contains(1, {2: 1, 1: 1, 0: 1})
+    assert sub.contains(1, {2: 1, 1: -3})
+    assert sub.contains(1, (0, 1, 2)) and not sub.contains(1, [1, 0, 0])
+    # above the top degree only zero chains, dense or sparse, are members
+    assert sub.contains(5, {1: 0}) and sub.contains(5, (0, 0))
+    assert not sub.contains(5, {0: 1}) and not sub.contains(5, [0, 1])
 
 
 def test_embedded_equals_simplicial_on_complexes():
@@ -431,7 +447,13 @@ def test_homology_basis_is_greedy_choice(coeff):
     for _ in range(30):
         h = generators.random_hypergraph(rng, 7, 16)
         delta = delta_closure(h)
-        for scc in (inf_complex(h, coeff, delta), sup_complex(h, coeff, delta)):
+        complexes = (
+            inf_complex(h, coeff, delta),
+            sup_complex(h, coeff, delta),
+            full_complex(delta, coeff),
+            coordinate_subcomplex(delta, lower_complex(h), coeff),
+        )
+        for scc in complexes:
             hb = HomologyBasis(scc)
             for n in range(scc.top + 1):
                 # the oracle's internal vectors in the ambient basis, as
@@ -440,7 +462,41 @@ def test_homology_basis_is_greedy_choice(coeff):
                     {i: x for i, x in enumerate(scc.to_ambient(n, rep)) if x}
                     for rep in oracles.greedy_homology_representatives(scc, n)
                 ]
-                assert list(hb.representatives(n)) == want
+                reps = hb.representatives(n)
+                assert list(reps) == want
+                # a seeded combination of the classes plus a seeded boundary
+                # reduces to the combination's coefficients
+                coords = [coeff.normalize(rng.randint(-2, 2)) for _ in reps]
+                terms = list(zip(coords, reps))
+                if n < scc.top:
+                    bnd = boundary_matrix(delta, n + 1, coeff)
+                    images = matmul(bnd, scc.basis[n + 1], coeff).column_entries
+                    terms += [(rng.randint(-2, 2), image) for image in images]
+                chain = {}
+                for c, column in terms:
+                    for i, x in column.items():
+                        chain[i] = coeff.normalize(chain.get(i, 0) + c * x)
+                chain = {i: x for i, x in chain.items() if x}
+                assert hb.coordinates(n, chain) == {j: c for j, c in enumerate(coords) if c}
+
+
+def test_homology_basis_builds_no_solver_of_its_own(monkeypatch, h_section6):
+    scc = inf_complex(h_section6, Q)
+    built = []
+    init = exact.ColumnSolver.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(exact.ColumnSolver, "__init__", counting)
+    hb = HomologyBasis(scc)
+    for n in range(scc.top + 1):
+        assert hb.coordinates(n, {}) == {}
+        for j, rep in enumerate(hb.representatives(n)):
+            assert hb.coordinates(n, rep) == {j: 1}
+    # only the complex's own solver in its top degree, built on first use
+    assert len(built) <= 1
 
 
 def _refuse(*args, **kwargs):
