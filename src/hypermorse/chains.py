@@ -13,7 +13,10 @@ ColumnSolver that reads the unit basis columns below off.  Every operation
 is a pure function, but ∂_n of a complex over a ring is built once and kept
 on the (immutable) complex, so the sub-chain complexes and chain maps on one
 ΔH share it.  Homology over Z uses the Smith invariant factors (Betti
-numbers and torsion coefficients); over Z/p it uses ranks.  Embedded and
+numbers and torsion coefficients); over Z/p it uses ranks.  Both come from
+reducing the chain complex degree by degree: the generators of each degree
+that took a unit pivot are left out of the next boundary's elimination,
+which keeps its rank and Smith form (subcomplex_homology).  Embedded and
 simplicial homology over Q are computed over Z, whose free ranks are the
 Betti numbers over Q (Q is flat over Z), so no Fraction is formed; a
 caller's own Q complex, the inf/sup bases the command line prints and
@@ -277,21 +280,45 @@ class HomologyResult:
 
 
 def subcomplex_homology(scc):
-    """Homology of a sub-chain complex from its restricted boundary matrices."""
+    """Homology of a sub-chain complex from its restricted boundary matrices,
+    reduced as a chain complex: degrees run upward, and R_{n+1} is
+    eliminated without the rows of the n-generators that took a unit pivot
+    in R_n (algebraic discrete Morse theory: a pair of generators joined by
+    a unit cancels without changing the homology, torsion included).
+
+    The pivots of R_n pair a set A of n-generators with a set C of
+    (n-1)-generators, and R_n[C, A] is unimodular: the elimination's row
+    operations are unit triangular and leave it triangular with ±1 on the
+    diagonal.  Let π forget the A-coordinates.
+    - π is injective on ker R_n: R_n x = 0 with x zero off A gives
+      R_n[C, A] x_A = 0, so x_A = 0.
+    - L = π(ker R_n) is saturated: if k y = π(x) with x in ker R_n and y
+      integral, let x' be y off A and, on A, the integral solution of
+      R_n[C, A] x'_A = -R_n[C, ~A] y.  Then k x' = x (both solve the rows C
+      for k y), so R_n x' = 0.
+    As im R_{n+1} ⊂ ker R_n (∂∂ = 0), π maps ker R_n / im R_{n+1}
+    isomorphically onto L / im(π R_{n+1}).  Both lattices are saturated, so
+    these quotients carry the torsion of the cokernels of R_{n+1} and of the
+    dropped matrix π R_{n+1}, whose ranks agree: the two have the same rank
+    and Smith invariant factors, with no correction term.  Over a field the
+    injectivity alone keeps the rank.  C lies among the rows R_n kept, so
+    the argument holds although R_n lost the rows carried from below.
+
+    The ∂∂ = 0 check multiplies the whole restricted boundaries.
+    """
     coeff = scc.coeff
     top = scc.top
     ranks = [0] * (top + 2)
     torsions = [()] * (top + 2)
+    carried = frozenset()
     for n in range(1, top + 1):
         mat = scc.restricted[n]
         if n >= 2 and not exact.matmul(scc.restricted[n - 1], mat, coeff).is_zero():
             raise MalformedSubcomplexError("restricted boundaries do not compose to zero")
+        carried, factors = exact._reduce(mat, coeff, carried)
+        ranks[n] = len(factors)
         if coeff.kind == "Z":
-            diag = exact.snf_diagonal(mat)
-            ranks[n] = len(diag)
-            torsions[n] = tuple(d for d in diag if d > 1)
-        else:
-            ranks[n] = exact.rank(mat, coeff)
+            torsions[n] = tuple(d for d in factors if d > 1)
     groups = []
     for n in range(top + 1):
         betti = scc.rank_at(n) - ranks[n] - ranks[n + 1]

@@ -14,7 +14,11 @@ Markowitz order from a heap of costs re-keyed lazily, only for the entries a
 row operation created or changed: over Z only ±1 entries pivot and the rows
 left without unit entries go, still sparse, to _kernel.snf_decompose; over
 Z/p every non-zero pivots; over Q each row is scaled to integers and the
-rank is the number of non-zero invariant factors.
+rank is the number of non-zero invariant factors.  _markowitz reports the
+rows that pivoted, and _reduce can leave given entries out of the copy it
+eliminates: chains.subcomplex_homology drops each degree's pivot rows from
+the next boundary (the reduction of the chain complex).  rank and
+snf_diagonal eliminate one whole matrix.
 
 Canonical bases make span-level statements testable as structural matrix
 equality: column Hermite normal form over Z (_kernel.hnf_rows) and reduced
@@ -207,9 +211,11 @@ def matmul(a, b, coeff):
                 sums[i] = sums.get(i, 0) + x * y
         col = {}
         for i, s in sums.items():
-            s = norm(s)
+            # most sums of a ∂∂ product cancel, and normalize(0) is zero
             if s:
-                col[i] = s
+                s = norm(s)
+                if s:
+                    col[i] = s
         out.append(col)
     return ExactMatrix.from_sparse_columns(a.rows, b.cols, out, norm(0))
 
@@ -409,8 +415,8 @@ def _markowitz(rows, p=0):
     goes back at the current cost.  A cost that fell (the pivot row left its
     column, or a row operation shortened its row) is not pushed again, so
     such an entry may be taken a little late; the order is approximate, and
-    the rank and the Smith form do not depend on it.  Returns the number of
-    pivots and the rows left over (over Z/p there are none).
+    the rank and the Smith form do not depend on it.  Returns the set of
+    rows that took a pivot and the rows left over (over Z/p there are none).
     """
     live = {i: row for i, row in enumerate(rows) if row}
     col = _kernel.column_index(rows)
@@ -423,7 +429,7 @@ def _markowitz(rows, p=0):
     heapq.heapify(heap)
     pop = heapq.heappop
     push = heapq.heappush
-    pivots = 0
+    pivots = set()
     while heap:
         cost, i, c = pop(heap)
         prow = live.get(i)
@@ -453,33 +459,35 @@ def _markowitz(rows, p=0):
                 y = row.get(j)
                 if y is not None and (p or y == 1 or y == -1):
                     push(heap, (spare * (len(col[j]) - 1), k, j))
-        pivots += 1
+        pivots.add(i)
     return pivots, list(live.values())
 
 
-def _smith(rows):
-    """The non-zero Smith invariant factors of sparse integer rows (consumed):
-    one 1 per unit pivot, then those of the rows left without unit entries,
-    from _kernel.snf_decompose.  The Smith form is unique, so the result is
-    that of the whole matrix."""
-    units, rest = _markowitz(rows)
-    out = [1] * units
-    if rest:
-        out.extend(_kernel.snf_decompose(rest))
-    return out
+def _reduce(m, coeff, drop=frozenset()):
+    """(pivots, factors) of m's stored columns, less their entries at the
+    rows in drop.  pivots is the set of columns (the elimination's rows)
+    that took a unit pivot; factors are the non-zero Smith invariant
+    factors, one 1 per unit pivot, then over Z and Q those of the rows left
+    without unit entries, from _kernel.snf_decompose.  The Smith form is
+    unique, so they are those of the whole matrix, and their number is its
+    rank.  Each ring eliminates its own fresh copy: residues over Z/p, where
+    every non-zero pivots; over Q each column scaled to integers, which
+    keeps the rank over Q.
+    """
+    rows = [{i: x for i, x in c.items() if i not in drop} for c in m.column_entries]
+    if coeff.kind == "Zp":
+        pivots, _ = _markowitz(_normalized(rows, coeff), coeff.p)
+        return pivots, [1] * len(pivots)
+    if coeff.kind == "Q":
+        for k, row in enumerate(rows):
+            scale = math.lcm(*(x.denominator for x in row.values()))
+            rows[k] = {i: x.numerator * (scale // x.denominator) for i, x in row.items()}
+    pivots, rest = _markowitz(rows)
+    return pivots, [1] * len(pivots) + (_kernel.snf_decompose(rest) if rest else [])
 
 
 def rank(m, coeff):
-    if coeff.kind == "Zp":
-        return _markowitz(_normalized(m.column_entries, coeff), coeff.p)[0]
-    if coeff.kind == "Z":
-        return len(snf_diagonal(m))
-    columns = []
-    for c in m.column_entries:
-        # scaling a column by a non-zero integer keeps the rank over Q
-        scale = math.lcm(*(x.denominator for x in c.values()))
-        columns.append({i: x.numerator * (scale // x.denominator) for i, x in c.items()})
-    return len(_smith(columns))
+    return len(_reduce(m, coeff)[1])
 
 
 def snf_diagonal(m):
@@ -488,7 +496,7 @@ def snf_diagonal(m):
     order and the rows left without unit entries go to
     _kernel.snf_decompose.  The Smith form of the transpose is the same, so
     the stored columns are eliminated as they are."""
-    return _smith([dict(c) for c in m.column_entries])
+    return _reduce(m, CoeffSpec("Z"))[1]
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 from hypermorse import _kernel, exact, hypercore
 from hypermorse.chains import (
+    HomologyResult,
     SubChainComplex,
     boundary_matrix,
     edge_module_matrix,
@@ -778,6 +779,31 @@ def snf_homology_oracle(scc):
     return tuple(
         (scc.rank_at(n) - ranks[n] - ranks[n + 1], torsions[n + 1]) for n in range(top + 1)
     )
+
+
+def per_degree_homology_oracle(scc):
+    """Homology of a sub-chain complex with each restricted boundary
+    eliminated alone: the Smith diagonal over Z, the rank over a field, and
+    the ∂∂ = 0 check on each pair of neighbours."""
+    coeff = scc.coeff
+    top = scc.top
+    ranks = [0] * (top + 2)
+    torsions = [()] * (top + 2)
+    for n in range(1, top + 1):
+        mat = scc.restricted[n]
+        if n >= 2 and not exact.matmul(scc.restricted[n - 1], mat, coeff).is_zero():
+            raise MalformedSubcomplexError("restricted boundaries do not compose to zero")
+        if coeff.kind == "Z":
+            diag = exact.snf_diagonal(mat)
+            ranks[n] = len(diag)
+            torsions[n] = tuple(d for d in diag if d > 1)
+        else:
+            ranks[n] = exact.rank(mat, coeff)
+    groups = []
+    for n in range(top + 1):
+        betti = scc.rank_at(n) - ranks[n] - ranks[n + 1]
+        groups.append((betti, torsions[n + 1]))
+    return HomologyResult(coeff, tuple(groups))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from hypermorse import exact
 from hypermorse.chains import (
     HomologyBasis,
+    SubChainComplex,
     boundary_matrix,
     coordinate_subcomplex,
     edge_module_matrix,
@@ -542,6 +543,76 @@ def test_unimodular_boundaries_never_reach_kernel_snf(monkeypatch):
     res = simplicial_homology(_simplex(8), Z)
     assert res.betti == (1,) + (0,) * 8
     assert not any(res.torsion)
+
+
+# ---------------------------------------------------------------------------
+# homology by reducing the chain complex: unit pivots carried upward
+
+
+def _rp2_beside_suspended_rp2():
+    """RP^2 beside the suspension of a second RP^2 (its triangles coned to n
+    and to s): H_0 = Z^2, H_1 = Z/2 from the first, H_2 = Z/2 from the
+    second."""
+    labels = ["v%d" % i for i in range(6)] + ["w%d" % i for i in range(6)] + ["n", "s"]
+    edges = [["v%d" % i for i in t] for t in RP2_TRIANGLES]
+    for apex in ("n", "s"):
+        edges += [["w%d" % i for i in t] + [apex] for t in RP2_TRIANGLES]
+    return Hypergraph.from_labels(labels, edges)
+
+
+def test_carried_reduction_matches_per_degree_oracle(monkeypatch):
+    # the library drops each degree's pivot rows from the next boundary; the
+    # oracle eliminates every restricted boundary alone
+    carried = []
+    reduce = exact._reduce
+
+    def counting(m, coeff, drop=frozenset()):
+        carried.append(len(drop))
+        return reduce(m, coeff, drop)
+
+    monkeypatch.setattr(exact, "_reduce", counting)
+    twice = _rp2_beside_suspended_rp2()
+    assert simplicial_homology(delta_closure(twice), Z).groups == (
+        (2, ()),
+        (0, (2,)),
+        (0, (2,)),
+        (0, ()),
+    )
+    rng = random.Random(424)
+    hypergraphs = [generators.random_hypergraph(rng) for _ in range(300)]
+    hypergraphs += [_rp2_hypergraph(), _moore_hypergraph(), twice]
+    closed = [_simplex(k) for k in range(9)] + [delta_closure(h) for h in hypergraphs[-3:]]
+    torsion = 0
+    for coeff in (Z, prime_field(2), prime_field(3), Q):
+        # over Q every complex here is built over Q, as a caller would
+        complexes = [full_complex(k, coeff) for k in closed]
+        for h in hypergraphs:
+            delta = delta_closure(h)
+            complexes += [inf_complex(h, coeff, delta), sup_complex(h, coeff, delta)]
+        for scc in complexes:
+            got = subcomplex_homology(scc)
+            assert got == oracles.per_degree_homology_oracle(scc)
+            torsion += any(got.torsion)
+    assert torsion >= 3
+    assert sum(map(bool, carried)) > 1000
+
+
+def test_dd_check_multiplies_the_rows_the_carry_drops():
+    # R_1 R_2 != 0 only through edge v0v1, which the degree-1 elimination
+    # pivots on (every cost ties at 1, and ties go to the lowest row): the
+    # carry drops its row from R_2, leaving a zero matrix, but the ∂∂ = 0
+    # check multiplies the whole R_1 and R_2
+    k = _simplex(2)
+    r1 = boundary_matrix(k, 1, Z)
+    assert 0 in exact._reduce(r1, Z)[0]
+    scc = object.__new__(SubChainComplex)
+    scc.ambient = k
+    scc.coeff = Z
+    scc.basis = tuple(ExactMatrix.identity(len(k.edges_of_dim(n))) for n in range(3))
+    scc.restricted = (ExactMatrix.zeros(0, 3), r1, ExactMatrix.from_sparse_columns(3, 1, [{0: 1}]))
+    scc._solvers = [None] * 3
+    with pytest.raises(MalformedSubcomplexError):
+        subcomplex_homology(scc)
 
 
 def _assert_snf_oracle_homology(h):

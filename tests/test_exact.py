@@ -120,6 +120,19 @@ def test_matmul_matches_dense_oracle(coeff):
         ]
 
 
+def test_matmul_stores_no_entry_for_a_sum_that_vanishes():
+    # a Z/3 sum of 3 is normalized to 0; a Q sum that cancels is Fraction(0)
+    z3 = prime_field(3)
+    ones = ExactMatrix.from_rows([[1, 1, 1]])
+    got = matmul(ones, ExactMatrix.from_rows([[1], [1], [1]]), z3)
+    assert got.column_entries == ({},) and got.data == ((0,),)
+    assert matmul(ones, ExactMatrix.from_rows([[1], [1], [2]]), z3).column_entries == ({0: 1},)
+    halves = ExactMatrix.from_rows([[Fraction(1, 2), Fraction(-1, 2)]])
+    got = matmul(halves, ExactMatrix.from_rows([[Fraction(1)], [Fraction(1)]]), Q)
+    assert got.column_entries == ({},) and got.data == ((Fraction(0),),)
+    assert type(got.data[0][0]) is Fraction
+
+
 def test_hermite_identity():
     eye = ExactMatrix.identity(3)
     assert hermite_basis(eye) == eye
