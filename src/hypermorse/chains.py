@@ -287,9 +287,11 @@ def subcomplex_homology(scc):
     a unit cancels without changing the homology, torsion included).
 
     The pivots of R_n pair a set A of n-generators with a set C of
-    (n-1)-generators, and R_n[C, A] is unimodular: the elimination's row
-    operations are unit triangular and leave it triangular with ±1 on the
-    diagonal.  Let π forget the A-coordinates.
+    (n-1)-generators, and R_n[C, A] is unimodular: in the one pass each
+    pivot row has only earlier pivot rows subtracted from it, so, in pivot
+    order, R_n[C, A] is a unit triangular matrix times a triangular one
+    with ±1 on the diagonal, and its determinant is ±1.  Let π forget the
+    A-coordinates.
     - π is injective on ker R_n: R_n x = 0 with x zero off A gives
       R_n[C, A] x_A = 0, so x_A = 0.
     - L = π(ker R_n) is saturated: if k y = π(x) with x in ker R_n and y

@@ -9,16 +9,16 @@ API and for small printed results; the homology path never builds them.
 Products, stacks and the zero test run on the non-zeros.
 
 The eliminations take a matrix's stored columns as their rows.  Ranks and
-Smith invariant factors come from _markowitz, which takes its pivots in
-Markowitz order from a heap of costs re-keyed lazily, only for the entries a
-row operation created or changed: over Z only ±1 entries pivot and the rows
-left without unit entries go, still sparse, to _kernel.snf_decompose; over
-Z/p every non-zero pivots; over Q each row is scaled to integers and the
-rank is the number of non-zero invariant factors.  _markowitz reports the
-rows that pivoted, and _reduce can leave given entries out of the copy it
-eliminates: chains.subcomplex_homology drops each degree's pivot rows from
-the next boundary (the reduction of the chain complex).  rank and
-snf_diagonal eliminate one whole matrix.
+Smith invariant factors come from _unit_pivots, one pass over the rows in
+which each row pivots on its unit entry in the least column, if it has one:
+over Z only ±1 entries pivot and the rows left without unit entries go,
+still sparse, to _kernel.snf_decompose; over Z/p every non-zero pivots;
+over Q each row is scaled to integers and the rank is the number of
+non-zero invariant factors.  _unit_pivots reports the rows that pivoted,
+and _reduce can leave given entries out of the copy it eliminates:
+chains.subcomplex_homology drops each degree's pivot rows from the next
+boundary (the reduction of the chain complex).  rank and snf_diagonal
+eliminate one whole matrix.
 
 Canonical bases make span-level statements testable as structural matrix
 equality: column Hermite normal form over Z (_kernel.hnf_rows) and reduced
@@ -32,7 +32,6 @@ off the vector.
 from __future__ import annotations
 
 import collections
-import heapq
 import math
 
 from . import _kernel
@@ -397,70 +396,39 @@ class ColumnSolver:
 
 
 # ---------------------------------------------------------------------------
-# ranks and Smith invariant factors: one Markowitz elimination per ring
+# ranks and Smith invariant factors: one pass of unit pivots per ring
 
 
-def _markowitz(rows, p=0):
-    """Sparse elimination of rows, in place, pivots in Markowitz order.
+def _unit_pivots(rows, p=0):
+    """Sparse elimination of rows, in place, in one pass over them.
 
     The rows are the stored columns of a matrix (rank and the Smith form do
     not depend on the orientation).  With p == 0 they are integer and only
     ±1 entries pivot; with a prime p they are residues mod p and every
-    non-zero pivots.  A pivot of least cost (row nnz - 1)*(column nnz - 1),
-    ties to the lowest row (the lowest stored column) and then column,
-    clears its column by row operations, and its row and column then split
-    off.  Costs sit in a heap and are re-keyed lazily: a row operation
-    pushes again only the entries it created or changed (those in the pivot
-    row's columns), and an entry popped at a cost below its current one
-    goes back at the current cost.  A cost that fell (the pivot row left its
-    column, or a row operation shortened its row) is not pushed again, so
-    such an entry may be taken a little late; the order is approximate, and
-    the rank and the Smith form do not depend on it.  Returns the set of
-    rows that took a pivot and the rows left over (over Z/p there are none).
+    non-zero pivots.  Each row in turn, as the earlier pivots left it,
+    pivots on its unit entry in the least column, if it has one: row
+    operations clear that column from every other row, and the pivot row
+    and column split off.  A row left without a unit entry is not visited
+    again, even if a later row operation gives it one: whichever rows pivot,
+    a 1 per pivot and the Smith form of the rows left over make the Smith
+    form of the whole.  Returns the set of rows that took a pivot and the
+    non-zero rows left over (over Z/p there are none).
     """
-    live = {i: row for i, row in enumerate(rows) if row}
     col = _kernel.column_index(rows)
-    heap = [
-        ((len(row) - 1) * (len(col[j]) - 1), i, j)
-        for i, row in live.items()
-        for j, x in row.items()
-        if p or x == 1 or x == -1
-    ]
-    heapq.heapify(heap)
-    pop = heapq.heappop
-    push = heapq.heappush
     pivots = set()
-    while heap:
-        cost, i, c = pop(heap)
-        prow = live.get(i)
-        if prow is None:
+    for i, prow in enumerate(rows):
+        units = [j for j, x in prow.items() if p or x == 1 or x == -1]
+        if not units:
             continue
-        x = prow.get(c)
-        if x is None or not (p or x == 1 or x == -1):
-            continue
-        now = (len(prow) - 1) * (len(col[c]) - 1)
-        if now > cost:
-            push(heap, (now, i, c))
-            continue
-        del live[i]
+        c = min(units)
         for j in prow:
             col[j].discard(i)
+        x = prow[c]
         inv = pow(x, p - 2, p) if p else x  # over Z, x = ±1 is its own inverse
         for k in list(col[c]):
-            row = live[k]
-            _kernel.submul(row, prow, row[c] * inv, p, col, k)
-            if not row:
-                del live[k]
-                continue
-            # the row operation created or changed the entries in the pivot
-            # row's columns; the others keep their records
-            spare = len(row) - 1
-            for j in prow:
-                y = row.get(j)
-                if y is not None and (p or y == 1 or y == -1):
-                    push(heap, (spare * (len(col[j]) - 1), k, j))
+            _kernel.submul(rows[k], prow, rows[k][c] * inv, p, col, k)
         pivots.add(i)
-    return pivots, list(live.values())
+    return pivots, [row for i, row in enumerate(rows) if row and i not in pivots]
 
 
 def _reduce(m, coeff, drop=frozenset()):
@@ -476,13 +444,13 @@ def _reduce(m, coeff, drop=frozenset()):
     """
     rows = [{i: x for i, x in c.items() if i not in drop} for c in m.column_entries]
     if coeff.kind == "Zp":
-        pivots, _ = _markowitz(_normalized(rows, coeff), coeff.p)
+        pivots, _ = _unit_pivots(_normalized(rows, coeff), coeff.p)
         return pivots, [1] * len(pivots)
     if coeff.kind == "Q":
         for k, row in enumerate(rows):
             scale = math.lcm(*(x.denominator for x in row.values()))
             rows[k] = {i: x.numerator * (scale // x.denominator) for i, x in row.items()}
-    pivots, rest = _markowitz(rows)
+    pivots, rest = _unit_pivots(rows)
     return pivots, [1] * len(pivots) + (_kernel.snf_decompose(rest) if rest else [])
 
 
@@ -492,8 +460,8 @@ def rank(m, coeff):
 
 def snf_diagonal(m):
     """The non-zero diagonal entries of the Smith normal form, in
-    divisibility order: unit pivots are cancelled sparsely in Markowitz
-    order and the rows left without unit entries go to
+    divisibility order: unit pivots are cancelled sparsely in one pass over
+    the rows and the rows left without unit entries go to
     _kernel.snf_decompose.  The Smith form of the transpose is the same, so
     the stored columns are eliminated as they are."""
     return _reduce(m, CoeffSpec("Z"))[1]

@@ -833,8 +833,10 @@ def restricted_boundaries_oracle(scc):
 def markowitz_repush_oracle(rows, p=0):
     """Sparse elimination in Markowitz order whose row operations push every
     entry of the changed row back onto the heap, not only the entries they
-    created or changed.  Returns (pivots, rows left over), like
-    exact._markowitz; rows is consumed."""
+    created or changed.  It takes the unit pivots in another order than the
+    one pass of exact._unit_pivots, so the two give the same rank and Smith
+    factors by different row operations.  Returns (the number of pivots,
+    the rows left over); rows is consumed."""
     live = {i: row for i, row in enumerate(rows) if row}
     col = _kernel.column_index(rows)
     heap = [

@@ -545,6 +545,26 @@ def test_unimodular_boundaries_never_reach_kernel_snf(monkeypatch):
     assert not any(res.torsion)
 
 
+def test_full_simplices_leave_no_smith_residual(monkeypatch):
+    # every row of a full simplex's boundaries takes a unit pivot in the one
+    # pass, both as a hypergraph and as a simplicial complex
+    from hypermorse import _kernel
+
+    calls = []
+    snf = _kernel.snf_decompose
+
+    def counting(rows):
+        calls.append(len(rows))
+        return snf(rows)
+
+    monkeypatch.setattr(_kernel, "snf_decompose", counting)
+    for k in range(9):
+        acyclic = ((1, ()),) + ((0, ()),) * k
+        assert embedded_homology(_simplex(k), Z).groups == acyclic
+        assert simplicial_homology(_simplex(k), Z).groups == acyclic
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # homology by reducing the chain complex: unit pivots carried upward
 

@@ -439,8 +439,8 @@ def test_field_kernel_basis_matches_transform_oracle(coeff):
 
 
 # ---------------------------------------------------------------------------
-# sparse storage against the dense matrix it replaced, and the Markowitz
-# elimination against dense oracles
+# sparse storage against the dense matrix it replaced, and the one pass of
+# unit pivots against dense oracles
 
 
 def _random_pair(rng, rows, cols, kind, zero):
@@ -508,8 +508,9 @@ def _shuffled(rng, rows, ncols):
 
 
 def _tied_units_with_torsion(rng):
-    """A graph incidence block (rows ±1 pairs: many unit pivots of equal
-    Markowitz cost) beside a block with planted torsion, shuffled."""
+    """A graph incidence block (rows of ±1 pairs: many unit pivots, some in
+    rows that earlier pivots changed) beside a block with planted torsion,
+    shuffled."""
     nv = rng.randint(2, 9)
     edges = [tuple(rng.sample(range(nv), 2)) for _ in range(rng.randint(1, 14))]
     graph = [[0] * nv for _ in edges]
@@ -564,9 +565,52 @@ def test_rank_matches_dense_rref_oracle(coeff):
         assert rank(m, coeff) == oracles.dense_rank(m, coeff)
 
 
+def _late_units(rng):
+    """Stored columns with no ±1 entry, then the columns of a unimodular
+    matrix, some scaled by planted torsion: the first columns can take a
+    unit entry only from the row operations of the later ones."""
+    k, n = rng.randint(2, 5), rng.randint(1, 4)
+    early = []
+    while len(early) < n:
+        column = [rng.choice((0, 0, 2, -2, 3, -3, 4, 5)) for _ in range(k)]
+        if any(column):
+            early.append(column)
+    u = _unimodular(rng, k)
+    late = [[x * d for x in u.column(j)] for j, d in enumerate(rng.choices((1, 1, 2, 3, 6), k=k))]
+    return ExactMatrix.from_columns(early + late, k)
+
+
+def test_rows_given_a_unit_late_go_to_the_smith_residual(monkeypatch):
+    from hypermorse import _kernel
+
+    residual = []
+    snf = _kernel.snf_decompose
+
+    def recording(rows):
+        residual.extend(dict(row) for row in rows)
+        return snf(rows)
+
+    monkeypatch.setattr(_kernel, "snf_decompose", recording)
+    # (2, 3) has no unit; the pivot of (1, 1) leaves it (0, 1), and the one
+    # pass does not go back to it
+    m = ExactMatrix.from_columns([(2, 3), (1, 1)], 2)
+    assert snf_diagonal(m) == [1, 1] == oracles.snf_diagonal_oracle(m)
+    assert residual == [{1: 1}]
+    rng = random.Random(416)
+    matrices = [m] + [_late_units(rng) for _ in range(150)]
+    for m in matrices:
+        want = oracles.snf_diagonal_oracle(m)
+        assert snf_diagonal(m) == want
+        assert rank(m, Z) == len(want)
+        for coeff in (Q, prime_field(2), prime_field(3)):
+            assert rank(m, coeff) == oracles.dense_rank(m, coeff)
+    late = sum(any(x in (1, -1) for x in row.values()) for row in residual)
+    assert late > 50
+
+
 # ---------------------------------------------------------------------------
-# unit columns read off by ColumnSolver, and the Markowitz heap re-keyed only
-# where a row operation changed an entry
+# unit columns read off by ColumnSolver, and the one pass of unit pivots with
+# fill-in against the Markowitz order of oracles.markowitz_repush_oracle
 
 
 def _basis_with_units(rng, coeff):
