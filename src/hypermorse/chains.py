@@ -4,15 +4,18 @@ Everything here works inside the chain complex of an associated simplicial
 complex.  Sub-modules are represented by canonical basis matrices (columns in
 the ambient degree basis), so module equality is matrix equality.  Every
 matrix is built sparse, one column at a time as the formulas give it, and
-none is transposed: boundary blocks, inclusions, placed and merged bases,
-restricted boundaries, homology classes and their induced coordinates.  The
-restricted boundaries are read off ∂'s columns, with no matrix product: a
-unit generator e_i has column i of ∂ as its image, only other generators
-combine columns, and each image is solved one non-zero dict at a time by a
-ColumnSolver that reads the unit basis columns below off.  Every operation
-is a pure function, but ∂_n of a complex over a ring is built once and kept
-on the (immutable) complex, so the sub-chain complexes and chain maps on one
-ΔH share it.  Homology over Z uses the Smith invariant factors (Betti
+none is transposed: boundaries, inclusions, placed and merged bases,
+restricted boundaries, homology classes and their induced coordinates; the
+entries, zeros included, are the ring's canonical scalars (Fractions over
+Q).  Every operation is a pure function, but ∂_n of a complex over a ring
+is built once and kept on the (immutable) complex, so the sub-chain
+complexes and chain maps on one ΔH share it, and the infimum and supremum
+complexes read their blocks off its columns.  Every basis built here has
+distinct leading rows, so its ColumnSolver solves against it as it stands.
+The restricted boundaries are read off ∂'s columns, with no matrix product:
+a unit generator e_i has column i of ∂ as its image, only other generators
+combine columns, and each image is solved one non-zero dict at a time.
+Homology over Z uses the Smith invariant factors (Betti
 numbers and torsion coefficients); over Z/p it uses ranks.  Both come from
 reducing the chain complex degree by degree: the generators of each degree
 that took a unit pivot are left out of the next boundary's elimination,
@@ -59,8 +62,21 @@ def boundary_matrix(complex_, n, coeff):
     canonical n-simplex basis to the (n-1)-simplex basis."""
     if n < 0:
         raise ValueError("degree must be non-negative")
-    rows = complex_.edges_of_dim(n - 1) if n >= 1 else ()
-    return _boundary_block(complex_.edges_of_dim(n), rows, coeff)
+    cells = complex_.edges_of_dim(n)
+    rows = complex_.edges_of_dim(n - 1)
+    if not rows:
+        return ExactMatrix.zeros(0, len(cells))
+    index = {e: i for i, e in enumerate(rows)}
+    signs = (coeff.normalize(1), coeff.normalize(-1))
+    columns = []
+    for e in cells:
+        col = {}
+        for i in range(len(e)):
+            r = index.get(e[:i] + e[i + 1 :])
+            if r is not None:
+                col[r] = signs[i % 2]
+        columns.append(col)
+    return ExactMatrix.from_sparse_columns(len(rows), len(cells), columns, coeff.normalize(0))
 
 
 def _boundary(complex_, n, coeff):
@@ -68,41 +84,26 @@ def _boundary(complex_, n, coeff):
     return hypercore.derived(complex_, ("boundary", n, coeff), boundary_matrix, complex_, n, coeff)
 
 
-def _boundary_block(cols, rows, coeff):
-    """The boundary map restricted to the chains on the cells `cols`, read
-    only in the coordinates of the cells `rows` (faces outside are dropped)."""
-    if not rows:
-        return ExactMatrix.zeros(0, len(cols))
-    index = {e: i for i, e in enumerate(rows)}
-    signs = (coeff.normalize(1), coeff.normalize(-1))
-    columns = []
-    for e in cols:
-        col = {}
-        for i in range(len(e)):
-            r = index.get(e[:i] + e[i + 1 :])
-            if r is not None:
-                col[r] = signs[i % 2]
-        columns.append(col)
-    return ExactMatrix.from_sparse_columns(len(rows), len(cols), columns)
-
-
-def _non_hyperedges(h, delta, n):
-    return [e for e in delta.edges_of_dim(n) if not h.contains_edge(e)]
-
-
-def _place_rows(m, sub_cells, cells):
-    """m, whose rows are indexed by sub_cells, with its rows moved to their
-    positions among cells (the other rows zero): each column re-keyed."""
-    index = {e: i for i, e in enumerate(cells)}
-    at = [index[e] for e in sub_cells]
-    columns = [{at[i]: x for i, x in c.items()} for c in m.column_entries]
-    return ExactMatrix.from_sparse_columns(len(cells), m.cols, columns, m.zero)
-
-
-def _inclusion_matrix(ambient_edges, sub_edges):
+def _inclusion_matrix(ambient_edges, sub_edges, coeff):
     index = {e: i for i, e in enumerate(ambient_edges)}
-    columns = [{index[e]: 1} for e in sub_edges]
-    return ExactMatrix.from_sparse_columns(len(ambient_edges), len(sub_edges), columns)
+    one = coeff.normalize(1)
+    columns = [{index[e]: one} for e in sub_edges]
+    return ExactMatrix.from_sparse_columns(len(ambient_edges), len(sub_edges), columns, coeff.normalize(0))
+
+
+def _pi_block(h, delta, n, coeff):
+    """(at, π∂_n|H_n): at lists the positions of h's n-edges among ΔH's
+    n-cells, and the block holds the columns of the kept ∂_n at them less
+    their entries at the (n-1)-hyperedges; its rows keep ΔH's indices.
+    With no column or no row kept the block is zero, and ∂_n is not read."""
+    cells, below = delta.edges_of_dim(n), delta.edges_of_dim(n - 1)
+    at = [i for i, e in enumerate(cells) if h.contains_edge(e)]
+    hyper = {i for i, e in enumerate(below) if h.contains_edge(e)}
+    if not at or len(hyper) == len(below):
+        return at, ExactMatrix.zeros(len(below), len(at))
+    faces = _boundary(delta, n, coeff).column_entries
+    cols = [{r: x for r, x in faces[i].items() if r not in hyper} for i in at]
+    return at, ExactMatrix.from_sparse_columns(len(below), len(at), cols, coeff.normalize(0))
 
 
 class SubChainComplex:
@@ -184,10 +185,8 @@ class SubChainComplex:
 def full_complex(k, coeff):
     """C_*(K) of a simplicial complex as a sub-chain complex of itself."""
     k = hypercore.as_simplicial(k)
-    basis = [
-        ExactMatrix.identity(len(k.edges_of_dim(n))) for n in range(k.max_dimension() + 1)
-    ]
-    return SubChainComplex(k, coeff, basis)
+    cells = [k.edges_of_dim(n) for n in range(k.max_dimension() + 1)]
+    return SubChainComplex(k, coeff, [_inclusion_matrix(c, c, coeff) for c in cells])
 
 
 def coordinate_subcomplex(ambient, sub, coeff):
@@ -201,13 +200,13 @@ def coordinate_subcomplex(ambient, sub, coeff):
         raise ValueError("not a subcomplex of the ambient: it has a simplex outside")
     basis = []
     for n in range(ambient.max_dimension() + 1):
-        basis.append(_inclusion_matrix(ambient.edges_of_dim(n), sub.edges_of_dim(n)))
+        basis.append(_inclusion_matrix(ambient.edges_of_dim(n), sub.edges_of_dim(n), coeff))
     return SubChainComplex(ambient, coeff, basis)
 
 
 def edge_module_matrix(h, delta, n):
     """Inclusion matrix of the degree-n hyperedge module of h into C_n(ΔH)."""
-    return _inclusion_matrix(delta.edges_of_dim(n), h.edges_of_dim(n))
+    return _inclusion_matrix(delta.edges_of_dim(n), h.edges_of_dim(n), Z)
 
 
 def inf_complex(h, coeff=Z, delta=None):
@@ -216,18 +215,19 @@ def inf_complex(h, coeff=Z, delta=None):
     Degree n is the intersection of the degree-n hyperedge module H_n with
     the boundary preimage of H_{n-1}.  H_n is a coordinate submodule, so this
     is Inf_n = ker(π ∂_n|H_n), where π keeps only the (n-1)-cells of ΔH that
-    are not hyperedges; its canonical basis is placed at the H_n positions of
-    the degree-n basis (zero rows change no HNF or RREF, so the placed basis
-    is canonical).
+    are not hyperedges.  The block is read off the kept ∂_n (_pi_block), and
+    its canonical kernel basis is put at the H_n positions of the degree-n
+    basis: the positions increase, so the basis stays canonical.
     """
     if delta is None:
         delta = hypercore.delta_closure(h)
+    zero = coeff.normalize(0)
     basis = []
     for n in range(delta.max_dimension() + 1):
-        inside = h.edges_of_dim(n)
-        outside_below = _non_hyperedges(h, delta, n - 1) if n else ()
-        ker = exact.kernel_basis(_boundary_block(inside, outside_below, coeff), coeff)
-        basis.append(_place_rows(ker, inside, delta.edges_of_dim(n)))
+        at, block = _pi_block(h, delta, n, coeff)
+        ker = exact.kernel_basis(block, coeff).column_entries
+        cols = [{at[i]: x for i, x in col.items()} for col in ker]
+        basis.append(ExactMatrix.from_sparse_columns(len(delta.edges_of_dim(n)), len(cols), cols, zero))
     return SubChainComplex(delta, coeff, basis)
 
 
@@ -236,25 +236,24 @@ def sup_complex(h, coeff=Z, delta=None):
 
     Degree n is H_n + ∂H_{n+1}.  H_n is a coordinate submodule, so this is
     Sup_n = H_n ⊕ π'∂_{n+1}(H_{n+1}), where π' keeps only the n-cells that
-    are not hyperedges.  The canonical basis is the unit columns of H_n
-    merged with the canonical basis of the second summand, ordered by leading
-    row: the supports are disjoint, so the merge is already canonical.
+    are not hyperedges; the block is read off the kept ∂_{n+1} (_pi_block)
+    and its rows are already the n-cells of ΔH.  The canonical basis is the
+    unit columns of H_n merged with the canonical basis of the second
+    summand, ordered by leading row: the supports are disjoint, so the
+    merge is already canonical.
     """
     if delta is None:
         delta = hypercore.delta_closure(h)
+    one, zero = coeff.normalize(1), coeff.normalize(0)
     basis = []
     for n in range(delta.max_dimension() + 1):
         cells = delta.edges_of_dim(n)
-        at = [i for i, e in enumerate(cells) if not h.contains_edge(e)]
-        block = _boundary_block(h.edges_of_dim(n + 1), [cells[i] for i in at], coeff)
+        _, block = _pi_block(h, delta, n + 1, coeff)
         # columns as {cell position: value}; the leading row is the least key
-        cols = [
-            {at[i]: x for i, x in col.items()}
-            for col in exact.canonical_basis(block, coeff).column_entries
-        ]
-        cols += [{i: 1} for i, e in enumerate(cells) if h.contains_edge(e)]
+        cols = list(exact.canonical_basis(block, coeff).column_entries)
+        cols += [{i: one} for i, e in enumerate(cells) if h.contains_edge(e)]
         cols.sort(key=min)
-        basis.append(ExactMatrix.from_sparse_columns(len(cells), len(cols), cols))
+        basis.append(ExactMatrix.from_sparse_columns(len(cells), len(cols), cols, zero))
     return SubChainComplex(delta, coeff, basis)
 
 

@@ -24,9 +24,9 @@ Canonical bases make span-level statements testable as structural matrix
 equality: column Hermite normal form over Z (_kernel.hnf_rows) and reduced
 column echelon form over fields, both from _kernel.echelon.  The same
 reductions with their transforms (_factor) give kernels, the transform rows
-opposite zero rows, and factor the basis of a ColumnSolver, all but its
-unit columns (e_p with nothing else on row p), whose coefficients are read
-off the vector.
+opposite zero rows.  A ColumnSolver solves on lines with distinct leading
+rows: the basis columns as they stand when their leads are distinct already
+(every basis of the chain layer), else the echelon rows of _factor.
 """
 
 from __future__ import annotations
@@ -285,9 +285,9 @@ def kernel_basis(m, coeff):
     (_factor) are relations among the columns that span them all: over Z a
     basis of the full kernel lattice (which is saturated), over a field of
     the kernel space.  Their canonical basis is returned.  A matrix with no
-    rows has the identity as kernel, with no elimination.
+    non-zero (no rows, say) has the identity as kernel, with no elimination.
     """
-    if not m.rows:
+    if m.is_zero():
         units = [{i: coeff.normalize(1)} for i in range(m.cols)]
         return ExactMatrix.from_sparse_columns(m.cols, m.cols, units, coeff.normalize(0))
     h, u = _factor(m.column_entries, coeff)
@@ -297,51 +297,46 @@ def kernel_basis(m, coeff):
 class ColumnSolver:
     """Prefactored exact solver for basis-expression problems basis*x = vec.
 
-    A unit column is a basis column equal to e_p whose row p has no other
-    non-zero.  Its coefficient is read off: x_j = vec_p, whatever the other
-    columns are, because they are all zero on row p and it is zero on every
-    other row.  Only the other columns are reduced, once and with the
-    transform (_factor): HNF over Z, RREF over fields, on sparse lines.  A
-    solve reads off the unit coefficients, clears the rest of the residual
-    pivot by pivot and sums the transform rows it used.
+    It solves on lines with distinct leads (least non-zero indices).  When
+    the basis columns already have distinct leads they are the lines, as
+    they stand: every basis the chain layer builds is so (unit columns,
+    canonical bases and their merge by lead).  Otherwise the whole basis is
+    reduced once with its transform (_factor): HNF over Z, RREF over
+    fields, on sparse lines, and the echelon rows are the lines.
     """
 
     def __init__(self, basis, coeff):
         self.basis = basis
         self.coeff = coeff
-        columns = basis.column_entries
-        row_nnz = collections.Counter(i for col in columns for i in col)
-        self._unit_of = {}  # row p -> the unit column e_p
-        at, rest = [], []  # the other columns and their indices
-        for j, col in enumerate(columns):
-            if len(col) == 1:
-                ((p, x),) = col.items()
-                if x == 1 and row_nnz[p] == 1:
-                    self._unit_of[p] = j
-                    continue
-            at.append(j)
-            rest.append(col)
-        h, u = _factor(rest, coeff) if rest else ((), ())
-        pivots = [(k, min(row)) for k, row in enumerate(h) if row]
-        if self._unit_of:
-            # the transform rows index the factored columns: give the ones a
-            # solve reads, those opposite a pivot, the basis's indices
-            for k, _ in pivots:
-                u[k] = {at[i]: y for i, y in u[k].items()}
-        self._h = h
-        self._u = u
-        self._row_of = {c: k for k, c in pivots}
+        lines = basis.column_entries
+        if coeff.kind != "Z":
+            lines = _normalized(lines, coeff)
+        leads = [min(line) for line in lines if line]
+        self._u = None  # line k is column k
+        if len(set(leads)) < len(lines):
+            lines, self._u = _factor(lines, coeff)
+            leads = [min(line) for line in lines if line]
+        hits = collections.Counter(i for line in lines for i in line)
+        self._lines = lines
+        self._line_at = {}  # lead p -> the line k leading there
+        self._unit_at = {}  # row p -> the line k = e_p, alone on row p
+        for k, p in enumerate(leads):
+            if len(lines[k]) == 1 and hits[p] == 1 and lines[k][p] == 1:
+                self._unit_at[p] = k
+            else:
+                self._line_at[p] = k
 
     def solve(self, vec):
         """Coefficients x with basis*x = vec, or None if vec is outside the
         span.  vec is a dense sequence, or a {index: value} dict of its
         non-zeros, and x comes back in the same form, its values canonical.
 
-        The coefficient of a unit column e_p is the residual at p, read off.
-        Of the rest, the residual's least index is cleared by the echelon
-        row with its pivot there, which leaves entries only at larger
-        indices; a least index without a pivot (or, over Z, not divisible by
-        it) is outside the span.
+        The coefficient of a line e_p alone on row p is the entry at p, read
+        off.  Otherwise the residual's least index is cleared by the line
+        leading there, divided exactly by its lead, which leaves entries only
+        at larger indices; a least index with no line leading there (or,
+        over Z, not divisible by the lead) is outside the span.  Over a
+        factored basis the transform rows of the lines used are summed.
         """
         coeff = self.coeff
         norm = coeff.normalize
@@ -350,45 +345,44 @@ class ColumnSolver:
             if len(vec) != self.basis.rows:
                 raise ValueError("vector length mismatch")
             vec = {j: x for j, x in enumerate(vec) if x}
-        unit_of = self._unit_of
+        unit_at = self._unit_at
         res = {}
-        read = {}
-        for j, x in vec.items():
-            x = norm(x)
-            if x:
-                c = unit_of.get(j)
-                if c is None:
-                    res[j] = x
+        x = {}  # line -> its coefficient
+        for j, v in vec.items():
+            v = norm(v)
+            if v:
+                k = unit_at.get(j)
+                if k is None:
+                    res[j] = v
                 else:
-                    read[c] = x
+                    x[k] = v
         over_z = coeff.kind == "Z"
         p_mod = _modulus(coeff)
-        weights = []
         while res:
             p = min(res)
-            k = self._row_of.get(p)
+            k = self._line_at.get(p)
             if k is None:
                 return None
-            b = res[p]
-            if over_z:
-                a = self._h[k][p]
-                if b % a:
-                    return None
-                q = b // a
-            else:
-                q = b  # RREF pivots are 1
-            _kernel.submul(res, self._h[k], q, p_mod)
-            weights.append((q, self._u[k]))
-        out = {}
-        for q, u_row in weights:
-            for i, y in u_row.items():
-                out[i] = out.get(i, 0) + q * y
-        if over_z:
-            # integer sums are already canonical
-            x = {i: y for i, y in out.items() if y}
-        else:
+            line = self._lines[k]
+            q = res[p]
+            a = line[p]
+            if a != 1:
+                if over_z:
+                    if q % a:
+                        return None
+                    q //= a
+                elif p_mod:
+                    q = q * pow(a, p_mod - 2, p_mod) % p_mod
+                else:
+                    q /= a
+            _kernel.submul(res, line, q, p_mod)
+            x[k] = q
+        if self._u is not None:
+            out = {}
+            for k, q in x.items():
+                for i, y in self._u[k].items():
+                    out[i] = out.get(i, 0) + q * y
             x = {i: y for i, y in ((i, norm(y)) for i, y in out.items()) if y}
-        x.update(read)  # unit columns are not among the factored ones
         return list(_dense(x, self.basis.cols, norm(0))) if dense else x
 
     def contains(self, vec):

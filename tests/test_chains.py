@@ -819,3 +819,46 @@ def test_unit_columns_save_the_products_and_solves(monkeypatch):
     calls.update(matmul=0)
     assert simplicial_homology(k, Z).betti == (1,) + (0,) * 6
     assert calls == {"matmul": 5, "hnf_rows_with_transform": 0}
+
+
+def _four_complexes(h, coeff):
+    delta = delta_closure(h)
+    return (
+        inf_complex(h, coeff, delta),
+        sup_complex(h, coeff, delta),
+        full_complex(delta, coeff),
+        coordinate_subcomplex(delta, lower_complex(h), coeff),
+    )
+
+
+@pytest.mark.parametrize("coeff", [Z, Q, prime_field(3)], ids=["Z", "Q", "Z3"])
+def test_chain_layer_bases_are_solved_as_they_stand(monkeypatch, coeff):
+    # every basis the chain layer builds has distinct leading rows, so its
+    # ColumnSolver factors nothing; each column solves to its unit vector
+    def refuse(*args):
+        raise AssertionError("a chain-layer basis was factored")
+
+    rng = random.Random(416)
+    hypergraphs = [generators.random_hypergraph(rng, 7, 16) for _ in range(12)]
+    one = coeff.normalize(1)
+    for h in hypergraphs + [_simplex(k) for k in (4, 5, 6)]:
+        complexes = _four_complexes(h, coeff)
+        with monkeypatch.context() as patch:
+            patch.setattr(exact, "_factor", refuse)
+            for scc in complexes:
+                for n in range(scc.top + 1):
+                    solver = exact.ColumnSolver(scc.basis[n], coeff)
+                    for j, col in enumerate(scc.basis[n].column_entries):
+                        assert solver.solve(col) == {j: one}
+
+
+@pytest.mark.parametrize("coeff", [Z, Q, prime_field(3)], ids=["Z", "Q", "Z3"])
+def test_bases_hold_the_scalars_of_their_ring_only(coeff):
+    # Q results hold Fractions only, their zeros included; Z and Z/p hold ints
+    want = {type(coeff.normalize(0))}
+    rng = random.Random(417)
+    for h in [generators.random_hypergraph(rng, 7, 16) for _ in range(12)] + [_simplex(3)]:
+        for scc in _four_complexes(h, coeff):
+            for n in range(scc.top + 1):
+                for m in (scc.basis[n], scc.restricted[n]):
+                    assert {type(x) for row in m.data for x in row} <= want

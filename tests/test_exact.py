@@ -207,7 +207,7 @@ def test_solve_columns_unsolvable():
     assert ColumnSolver(m, Q).solve([0, 1]) is None
 
 
-def test_kernel_basis_random():
+def test_kernel_basis_random(monkeypatch):
     rng = random.Random(9)
     for coeff in (Z, Q, Z5):
         for _ in range(50):
@@ -216,6 +216,18 @@ def test_kernel_basis_random():
             ker = kernel_basis(m, coeff)
             assert matmul(m, ker, coeff).is_zero()
             assert ker.cols == c - rank(m, coeff)
+    # a matrix with rows but no non-zero has the identity as kernel, with no
+    # elimination
+    from hypermorse import exact
+
+    factored = []
+    factor = exact._factor
+    monkeypatch.setattr(exact, "_factor", lambda *args: factored.append(args) or factor(*args))
+    for coeff in (Z, Q, Z5):
+        ker = kernel_basis(ExactMatrix.zeros(3, 4), coeff)
+        assert ker == ExactMatrix.identity(4)
+        assert {type(x) for row in ker.data for x in row} == {type(coeff.normalize(0))}
+    assert factored == []
 
 
 def test_kernel_basis_saturated_over_z():
@@ -403,6 +415,20 @@ def test_column_solver_matches_dense_oracle(coeff):
                 else:
                     assert [type(v) for v in got] == [type(v) for v in want]
     assert outside > 0
+    # columns with distinct leads, two of them not 1, and a unit e_2 alone on
+    # its row: solved as they stand, dividing by the leads (over Z exactly,
+    # so an odd residual at the lead 2 is outside the span)
+    lead = 3 if coeff is Z5 else 2
+    m = normalize(ExactMatrix.from_columns([(lead, 1, 0), (0, 3, 0), (0, 0, 1)], 3), coeff)
+    sparse, dense = ColumnSolver(m, coeff), oracles.DenseColumnSolver(m, coeff)
+    for vec in ([1, 0, 0], [lead, 4, 2], [0, -3, 1], [3 * lead, 1, 0]):
+        got = sparse.solve(vec)
+        assert got == dense.solve(vec)
+        assert sparse.solve({i: v for i, v in enumerate(vec) if v}) == (
+            None if got is None else {k: v for k, v in enumerate(got) if v}
+        )
+    assert (sparse.solve([1, 0, 0]) is None) == (coeff is Z)
+    assert sparse.solve([lead, 4, 2]) == [coeff.normalize(x) for x in (1, 1, 2)]
 
 
 def test_column_solver_non_divisible_over_z():
