@@ -1,23 +1,21 @@
-"""Exact sparse elimination kernels.
+"""Exact sparse elimination kernels over Z.
 
-These are the inner loops of the package: the row operation on sparse rows,
-one row echelon routine for Z, Q and Z/p (canonical row Hermite normal form
-over Z, reduced row echelon form over a field, with or without a recorded
-transform) and the Smith invariant factors it yields.  A sparse row is a
-{column: value} dict of its non-zeros.  echelon reduces its rows in place;
-hnf_rows, hnf_rows_with_transform and snf_decompose work on copies and leave
-their input alone.  exact.snf_diagonal cancels unit pivots sparsely and hands
-only the rows left without unit entries to snf_decompose, which alternates
-row and column Hermite forms.  Arbitrary precision is relied upon
-throughout, there is no floating point.
-
-Over Z, pivoting follows the fraction-free, minimal-absolute-value strategy:
-at desk scale this keeps intermediate entries small without sacrificing
-exactness.
+These are the inner loops of the integer path: the row operation on sparse
+rows, one row echelon routine (the canonical row Hermite normal form, with
+or without a recorded transform) and the Smith invariant factors it yields.
+A sparse row is a {column: value} dict of its non-zeros.  echelon reduces
+its rows in place; hnf_rows, hnf_rows_with_transform and snf_decompose work
+on copies and leave their input alone.  exact.snf_diagonal cancels unit
+pivots sparsely and hands only the rows left without unit entries to
+snf_decompose, which alternates row and column Hermite forms.  Over Q and
+Z/p, exact._unit_pivots eliminates with the row operation (mod p over Z/p)
+and scaled.  Arbitrary precision is relied upon throughout, there is no
+floating point.  Pivoting follows the fraction-free, minimal-absolute-value
+strategy: at desk scale this keeps intermediate entries small without
+sacrificing exactness.
 """
 
 import math
-from fractions import Fraction
 
 
 def submul(target, source, q, p=0, col=None, i=0):
@@ -73,47 +71,40 @@ def column_index(rows):
     return col
 
 
-def _scaled(row, x, p):
+def scaled(row, x, p=0):
     """row times x, reduced mod p when p is non-zero."""
     if p:
         return {j: y * x % p for j, y in row.items()}
     return {j: y * x for j, y in row.items()}
 
 
-def _clear(rows, u, col, r, c, targets, p):
+def _clear(rows, u, col, r, c, targets):
     """Subtract from each target row the multiple of pivot row r that reduces
-    its entry in column c, and the same multiple of u[r] from u[i]: the floor
-    quotient by the pivot over Z (p None), the entry itself over a field,
-    whose pivot is 1."""
+    its entry in column c into [0, pivot) (the floor quotient), and the same
+    multiple of u[r] from u[i]."""
     prow = rows[r]
     a = prow[c]
-    mod = p or 0
     for i in targets:
-        q = rows[i][c] // a if p is None else rows[i][c]
+        q = rows[i][c] // a
         if q:
-            submul(rows[i], prow, q, mod, col, i)
+            submul(rows[i], prow, q, 0, col, i)
             if u is not None:
-                submul(u[i], u[r], q, mod)
+                submul(u[i], u[r], q)
 
 
-def echelon(rows, p=None, transform=False):
-    """Row echelon form of sparse rows, reduced in place: the canonical HNF
-    over Z (p None), the RREF over Q (p 0) or over Z/p (a prime p, entries
-    canonical residues).
+def echelon(rows, transform=False):
+    """The canonical row HNF of sparse integer rows, reduced in place.
 
-    Column by column, over Z the pivot is the entry of least absolute value
-    at or below the next pivot row (ties to the lowest row), cleared below by
+    Column by column, the pivot is the entry of least absolute value at or
+    below the next pivot row (ties to the lowest row), cleared below by
     Euclidean steps until it is alone, made positive, and the entries above
-    it reduced into [0, pivot).  Over a field it is the first row at or below,
-    scaled to 1 and cleared from every other row.  These are the steps of the
-    dense textbook loops.  Returns (u, pivots): u (sparse rows, None unless
-    transform) with u * input = rows, and the (row, column) pairs of the
-    pivots; the rows after the last pivot are empty.
+    it reduced into [0, pivot): the steps of the dense textbook loop.  The
+    rows after the last pivot are left empty.  Returns u (sparse rows, None
+    unless transform) with u * input = rows.
     """
     m = len(rows)
     u = [{i: 1} for i in range(m)] if transform else None
     col = column_index(rows)
-    pivots = []
     r = 0
     # row operations only add entries in columns that already hold one, so
     # the columns with an entry are known up front
@@ -125,38 +116,24 @@ def echelon(rows, p=None, transform=False):
             below = [i for i in here if i >= r]
             if not below:
                 break
-            if p is None:
-                piv = min(below, key=lambda i: (abs(rows[i][c]), i))
-            else:
-                piv = min(below)
+            piv = min(below, key=lambda i: (abs(rows[i][c]), i))
             if piv != r:
                 swap_rows(rows, col, r, piv)
                 if transform:
                     u[r], u[piv] = u[piv], u[r]
-            a = rows[r][c]
-            if p is not None:
-                if a != 1:
-                    inv = pow(a, p - 2, p) if p else 1 / Fraction(a)
-                    rows[r] = _scaled(rows[r], inv, p)
-                    if transform:
-                        u[r] = _scaled(u[r], inv, p)
-                if len(here) > 1:
-                    _clear(rows, u, col, r, c, [i for i in here if i != r], p)
-            else:
-                if len(below) > 1:
-                    _clear(rows, u, col, r, c, [i for i in here if i > r], p)
-                    if any(i > r for i in here):
-                        continue  # a remainder, smaller than the pivot, pivots next
-                if a < 0:
-                    rows[r] = _scaled(rows[r], -1, 0)
-                    if transform:
-                        u[r] = _scaled(u[r], -1, 0)
-                if len(here) > 1:
-                    _clear(rows, u, col, r, c, [i for i in here if i < r], p)
-            pivots.append((r, c))
+            if len(below) > 1:
+                _clear(rows, u, col, r, c, [i for i in here if i > r])
+                if any(i > r for i in here):
+                    continue  # a remainder, smaller than the pivot, pivots next
+            if rows[r][c] < 0:
+                rows[r] = scaled(rows[r], -1)
+                if transform:
+                    u[r] = scaled(u[r], -1)
+            if len(here) > 1:
+                _clear(rows, u, col, r, c, [i for i in here if i < r])
             r += 1
             break
-    return u, pivots
+    return u
 
 
 def hnf_rows(rows):
@@ -180,8 +157,7 @@ def hnf_rows_with_transform(rows):
     left-kernel lattice.
     """
     h = [dict(row) for row in rows]
-    u, _ = echelon(h, transform=True)
-    return h, u
+    return h, echelon(h, transform=True)
 
 
 def _transpose(rows):

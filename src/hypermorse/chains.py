@@ -24,8 +24,10 @@ simplicial homology over Q are computed over Z, whose free ranks are the
 Betti numbers over Q (Q is flat over Z), so no Fraction is formed; a
 caller's own Q complex, the inf/sup bases the command line prints and
 HomologyBasis are still reduced over Q.  HomologyBasis reads its classes
-off the canonical kernel basis, in three eliminations per degree, and
-solves a cycle with the complex's own ColumnSolver.
+off the canonical kernel basis, in two eliminations per degree (one
+unit-pivot pass for the kernel, one for the canonical basis of the
+boundaries' coordinates), and solves a cycle with the complex's own
+ColumnSolver.
 """
 
 from __future__ import annotations

@@ -29,7 +29,10 @@ class MorphismError(HypermorseError):
 
 
 class SizeCapExceeded(HypermorseError):
-    """An exhaustive search was rejected because the instance exceeds the cap."""
+    """An instance was refused up front because it exceeds a size cap: the
+    unknown cells of an exhaustive Morse extension search, or the cells of a
+    closure that one hyperedge alone would push past
+    hypercore.MAX_CLOSURE_CELLS."""
 
 
 class MalformedSubcomplexError(HypermorseError):

@@ -8,9 +8,9 @@ residues) or Fractions (Q); there is no floating point.  The dense views
 API and for small printed results; the homology path never builds them.
 Products, stacks and the zero test run on the non-zeros.
 
-The eliminations take a matrix's stored columns as their rows.  Ranks and
-Smith invariant factors come from _unit_pivots, one pass over the rows in
-which each row pivots on its unit entry in the least column, if it has one:
+The eliminations take a matrix's stored columns as their rows; over Q and
+Z/p the only one is _unit_pivots, one pass over the rows in which each row
+pivots on its unit entry in the least column, if it has one.  In rank mode
 over Z only ±1 entries pivot and the rows left without unit entries go,
 still sparse, to _kernel.snf_decompose; over Z/p every non-zero pivots;
 over Q each row is scaled to integers and the rank is the number of
@@ -22,11 +22,11 @@ eliminate one whole matrix.
 
 Canonical bases make span-level statements testable as structural matrix
 equality: column Hermite normal form over Z (_kernel.hnf_rows) and reduced
-column echelon form over fields, both from _kernel.echelon.  The same
-reductions with their transforms (_factor) give kernels, the transform rows
-opposite zero rows.  A ColumnSolver solves on lines with distinct leading
-rows: the basis columns as they stand when their leads are distinct already
-(every basis of the chain layer), else the echelon rows of _factor.
+column echelon form over fields (_unit_pivots in echelon mode).  Kernels
+are read off transforms, over a field in one pass.  A ColumnSolver solves
+on lines with distinct leading rows: the basis columns as they stand when
+their leads are distinct already (every basis of the chain layer), else the
+echelon rows of _factor.
 """
 
 from __future__ import annotations
@@ -232,7 +232,7 @@ def matvec(a, vec, coeff):
 
 def _modulus(coeff):
     """The modulus of row operations over coeff: p over Z/p, else 0 (which is
-    also _kernel.echelon's p over Q)."""
+    also _unit_pivots' p over Q)."""
     return coeff.p if coeff.kind == "Zp" else 0
 
 
@@ -248,20 +248,21 @@ def _span_basis(vectors, length, coeff):
         h = _kernel.hnf_rows(vectors)
     else:
         h = _normalized(vectors, coeff)
-        _, pivots = _kernel.echelon(h, _modulus(coeff))
-        h = h[: len(pivots)]
+        _unit_pivots(h, _modulus(coeff), True)
+        h = sorted(filter(None, h), key=min)
     return ExactMatrix.from_sparse_columns(length, len(h), h, coeff.normalize(0))
 
 
 def _factor(columns, coeff):
     """(h, u): the echelon form h of sparse columns taken as rows (HNF over
-    Z, RREF over fields), with its zero rows last, and the transform u with
-    u * columns = h.  The rows of u opposite the zero rows of h are a basis
-    of the relations among the columns."""
+    Z, with its zero rows last; RREF over fields, from echelon mode), and
+    the transform u with u * columns = h.  Over Z the rows of u opposite the
+    zero rows of h are a basis of the relations among the columns."""
     if coeff.kind == "Z":
         return _kernel.hnf_rows_with_transform(columns)
     h = _normalized(columns, coeff)
-    u, _ = _kernel.echelon(h, _modulus(coeff), True)
+    u = [{i: coeff.normalize(1)} for i in range(len(h))]
+    _unit_pivots(h, _modulus(coeff), True, u)
     return h, u
 
 
@@ -281,17 +282,25 @@ def hermite_basis(m):
 def kernel_basis(m, coeff):
     """Canonical basis (columns) of {x : m*x = 0} over the given ring.
 
-    The transform rows opposite the zero rows of m's reduced columns
-    (_factor) are relations among the columns that span them all: over Z a
-    basis of the full kernel lattice (which is saturated), over a field of
-    the kernel space.  Their canonical basis is returned.  A matrix with no
-    non-zero (no rows, say) has the identity as kernel, with no elimination.
+    Over Z the transform rows opposite the zero rows of m's reduced columns
+    (_factor) are a basis of the kernel lattice (which is saturated); their
+    HNF is returned.  Over a field one echelon-mode pass takes m's columns
+    last first: the transform row of a column left empty holds 1 there and
+    else only entries at later columns that pivoted, which no other such row
+    holds, so in column order these rows are the kernel's RREF already.  A
+    zero matrix (no rows, say) has the identity as kernel, with no elimination.
     """
     if m.is_zero():
         units = [{i: coeff.normalize(1)} for i in range(m.cols)]
         return ExactMatrix.from_sparse_columns(m.cols, m.cols, units, coeff.normalize(0))
-    h, u = _factor(m.column_entries, coeff)
-    return _span_basis(u[sum(map(bool, h)) :], m.cols, coeff)
+    if coeff.kind == "Z":
+        h, u = _factor(m.column_entries, coeff)
+        return _span_basis(u[sum(map(bool, h)) :], m.cols, coeff)
+    rows = _normalized(reversed(m.column_entries), coeff)
+    u = [{j: coeff.normalize(1)} for j in reversed(range(m.cols))]
+    _unit_pivots(rows, _modulus(coeff), True, u)
+    ker = [u[t] for t in reversed(range(m.cols)) if not rows[t]]
+    return ExactMatrix.from_sparse_columns(m.cols, len(ker), ker, coeff.normalize(0))
 
 
 class ColumnSolver:
@@ -302,7 +311,7 @@ class ColumnSolver:
     they stand: every basis the chain layer builds is so (unit columns,
     canonical bases and their merge by lead).  Otherwise the whole basis is
     reduced once with its transform (_factor): HNF over Z, RREF over
-    fields, on sparse lines, and the echelon rows are the lines.
+    fields, on sparse lines, and the non-zero echelon rows are the lines.
     """
 
     def __init__(self, basis, coeff):
@@ -311,16 +320,16 @@ class ColumnSolver:
         lines = basis.column_entries
         if coeff.kind != "Z":
             lines = _normalized(lines, coeff)
-        leads = [min(line) for line in lines if line]
+        leads = {k: min(line) for k, line in enumerate(lines) if line}
         self._u = None  # line k is column k
-        if len(set(leads)) < len(lines):
+        if len(set(leads.values())) < len(lines):
             lines, self._u = _factor(lines, coeff)
-            leads = [min(line) for line in lines if line]
+            leads = {k: min(line) for k, line in enumerate(lines) if line}
         hits = collections.Counter(i for line in lines for i in line)
         self._lines = lines
         self._line_at = {}  # lead p -> the line k leading there
         self._unit_at = {}  # row p -> the line k = e_p, alone on row p
-        for k, p in enumerate(leads):
+        for k, p in leads.items():
             if len(lines[k]) == 1 and hits[p] == 1 and lines[k][p] == 1:
                 self._unit_at[p] = k
             else:
@@ -390,37 +399,52 @@ class ColumnSolver:
 
 
 # ---------------------------------------------------------------------------
-# ranks and Smith invariant factors: one pass of unit pivots per ring
+# one pass of unit pivots per ring: ranks, Smith factors, field echelon forms
 
 
-def _unit_pivots(rows, p=0):
+def _unit_pivots(rows, p=0, echelon=False, u=None):
     """Sparse elimination of rows, in place, in one pass over them.
 
     The rows are the stored columns of a matrix (rank and the Smith form do
     not depend on the orientation).  With p == 0 they are integer and only
-    ±1 entries pivot; with a prime p they are residues mod p and every
-    non-zero pivots.  Each row in turn, as the earlier pivots left it,
-    pivots on its unit entry in the least column, if it has one: row
-    operations clear that column from every other row, and the pivot row
-    and column split off.  A row left without a unit entry is not visited
-    again, even if a later row operation gives it one: whichever rows pivot,
-    a 1 per pivot and the Smith form of the rows left over make the Smith
-    form of the whole.  Returns the set of rows that took a pivot and the
-    non-zero rows left over (over Z/p there are none).
+    ±1 entries pivot, or rational in echelon mode; with a prime p they are
+    residues mod p.  Over a field every non-zero pivots.  Each row in turn,
+    as the earlier pivots left it, pivots on its unit entry in the least
+    column, if it has one: row operations clear that column from every other
+    row, and from the transform rows u alike.  In rank mode the pivot row
+    and column split off, and a row left without a unit entry is not visited
+    again: whichever rows pivot, a 1 per pivot and the Smith form of the
+    rows left over make the Smith form of the whole.  In echelon mode the
+    pivot row is scaled to lead with 1 and stays, so later pivots clear it
+    too (Gauss–Jordan); a row is subtracted only at its lead, before which
+    it is empty, so the non-empty rows end as those of the RREF.  Returns
+    the set of rows that took a pivot and the non-zero rows left over.
     """
     col = _kernel.column_index(rows)
     pivots = set()
     for i, prow in enumerate(rows):
-        units = [j for j, x in prow.items() if p or x == 1 or x == -1]
+        units = [j for j, x in prow.items() if p or echelon or x == 1 or x == -1]
         if not units:
             continue
         c = min(units)
-        for j in prow:
-            col[j].discard(i)
         x = prow[c]
-        inv = pow(x, p - 2, p) if p else x  # over Z, x = ±1 is its own inverse
+        # over Z, x = ±1 is its own inverse
+        inv = pow(x, p - 2, p) if p else 1 / x if echelon else x
+        if echelon:
+            if inv != 1:
+                rows[i] = prow = _kernel.scaled(prow, inv, p)
+                if u is not None:
+                    u[i] = _kernel.scaled(u[i], inv, p)
+                inv = 1
+            col[c].discard(i)
+        else:
+            for j in prow:
+                col[j].discard(i)
         for k in list(col[c]):
-            _kernel.submul(rows[k], prow, rows[k][c] * inv, p, col, k)
+            q = rows[k][c] * inv
+            _kernel.submul(rows[k], prow, q, p, col, k)
+            if u is not None:
+                _kernel.submul(u[k], u[i], q, p)
         pivots.add(i)
     return pivots, [row for i, row in enumerate(rows) if row and i not in pivots]
 

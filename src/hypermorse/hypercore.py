@@ -7,7 +7,9 @@ edge list is kept sorted by (dimension, lexicographic order), so iteration and
 serialization are deterministic.  All types are immutable after construction
 and every operation here is a pure function.  What is derived from an
 immutable object may be kept on it by derived(), built on first use; only
-the module that owns a key reads or writes it.
+the module that owns a key reads or writes it.  A closure that one
+hyperedge alone would push past MAX_CLOSURE_CELLS is refused before it is
+built.
 """
 
 from __future__ import annotations
@@ -15,6 +17,12 @@ from __future__ import annotations
 import itertools
 import json
 import warnings
+
+from .errors import SizeCapExceeded
+
+# The most cells a closure may hold: Δ^19, with 2^20 - 1 cells, passes, and
+# the largest complex the tests and the benchmark build is Δ^12.
+MAX_CLOSURE_CELLS = 1 << 20
 
 
 class DuplicateEdgeWarning(UserWarning):
@@ -39,11 +47,21 @@ def codim1_faces(edge):
 
 
 def nonempty_subsets(edge):
-    """All non-empty subsets of an edge as sorted index tuples."""
-    out = []
+    """The non-empty subsets of an edge as sorted index tuples, by size and
+    then in lexicographic order, generated one at a time."""
     for k in range(1, len(edge) + 1):
-        out.extend(itertools.combinations(edge, k))
-    return out
+        yield from itertools.combinations(edge, k)
+
+
+def _check_cap(dim):
+    """SizeCapExceeded if the faces of one edge of dimension dim alone are
+    more than MAX_CLOSURE_CELLS."""
+    cells = (1 << (dim + 1)) - 1
+    if cells > MAX_CLOSURE_CELLS:
+        raise SizeCapExceeded(
+            "a %d-vertex hyperedge has %d faces, over the cap of %d cells"
+            % (dim + 1, cells, MAX_CLOSURE_CELLS)
+        )
 
 
 class VertexSet:
@@ -248,16 +266,21 @@ dimension = edge_dimension
 
 
 def power_complex(vertex_set, edge):
-    """The simplicial complex of all non-empty subsets of a single edge."""
+    """The simplicial complex of all non-empty subsets of a single edge;
+    SizeCapExceeded when there are more than MAX_CLOSURE_CELLS."""
     edge = _validate_edge(edge, len(vertex_set))
+    _check_cap(edge_dimension(edge))
     return SimplicialComplex(vertex_set, nonempty_subsets(edge))
 
 
 def delta_closure(h):
     """Smallest simplicial complex containing h: the union of the subset
-    complexes of its hyperedges.  A SimplicialComplex is its own closure."""
+    complexes of its hyperedges.  A SimplicialComplex is its own closure.
+    SizeCapExceeded, before any cell is built, when the largest hyperedge
+    alone has more than MAX_CLOSURE_CELLS faces."""
     if isinstance(h, SimplicialComplex):
         return h
+    _check_cap(h.max_dimension())
     # walk down one dimension at a time: the n-cells are the n-edges plus the
     # codimension-1 faces of the (n+1)-cells, each face kept once
     levels = []

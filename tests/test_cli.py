@@ -513,6 +513,30 @@ def test_morse_extend_size_cap(tmp_path, capsys):
     assert _result(out)["verdict"] == "size-capped"
 
 
+def test_one_huge_hyperedge_exits_5_before_any_closure(tmp_path, capsys, monkeypatch):
+    # about 10^9 cells: refused up front, in far less time than building them
+    def refuse(*args):
+        raise AssertionError("a closure was built")
+
+    monkeypatch.setattr(hypercore.SimplicialComplex, "_trusted", classmethod(refuse))
+    names = ["v%d" % i for i in range(30)]
+    doc = {"vertices": names, "hyperedges": [names]}
+    path = _write(tmp_path, "huge.json", doc)
+    swap = dict(zip(names, names[1:] + names[:1]))
+    mapped = _write(tmp_path, "huge_map.json", {"source": doc, "target": doc, "map": swap})
+    for argv in (
+        ["homology", path],
+        ["homology", path, "--which", "inf", "--coeff", "zp:3"],
+        ["complex", path, "--mode", "assoc"],
+        ["map", mapped],
+    ):
+        start = time.perf_counter()
+        code, out, err = _run(capsys, argv)
+        assert time.perf_counter() - start < 0.1
+        assert code == cli.EXIT_SIZE_CAP == 5
+        assert out == "" and err.startswith("size cap exceeded: a 30-vertex hyperedge")
+
+
 def test_discrepancy_section6(tmp_path, capsys):
     path = _write(tmp_path, "h6.json", SECTION6_DOC)
     code, out, err = _run(capsys, ["discrepancy", path])

@@ -396,25 +396,36 @@ def test_snf_diagonal_empty_shapes():
 def test_column_solver_matches_dense_oracle(coeff):
     rng = random.Random(403)
     outside = 0
+    seen = set()  # whether the bases had independent columns
     for _ in range(120):
         r, c = rng.randint(0, 7), rng.randint(0, 7)
         m = normalize(oracles.random_int_matrix(rng, r, c, -3, 3), coeff)
         sparse, dense = ColumnSolver(m, coeff), oracles.DenseColumnSolver(m, coeff)
+        independent = oracles.dense_rank(m, Q if coeff is Z else coeff) == c
+        seen.add(independent)
         for _ in range(3):
             x = [rng.randint(-3, 3) for _ in range(c)]
             inside = [sum(m.data[i][k] * x[k] for k in range(c)) for i in range(r)]
             other = [rng.randint(-3, 3) for _ in range(r)]
             for vec in (inside, other):
                 got, want = sparse.solve(vec), dense.solve(vec)
-                assert got == want
+                if independent:
+                    assert got == want
+                else:
+                    # the coefficients are not unique: check the combination
+                    assert (got is None) == (want is None)
+                    if got is not None:
+                        assert [coeff.normalize(s) for s in matvec(m, got, coeff)] == [
+                            coeff.normalize(v) for v in vec
+                        ]
                 # the same solve on the non-zeros, as the chain layer calls it
                 got_nz = sparse.solve({i: v for i, v in enumerate(vec) if v})
-                assert got_nz == (None if want is None else {k: v for k, v in enumerate(want) if v})
+                assert got_nz == (None if got is None else {k: v for k, v in enumerate(got) if v})
                 if got is None:
                     outside += 1
                 else:
                     assert [type(v) for v in got] == [type(v) for v in want]
-    assert outside > 0
+    assert outside > 0 and seen == {True, False}
     # columns with distinct leads, two of them not 1, and a unit e_2 alone on
     # its row: solved as they stand, dividing by the leads (over Z exactly,
     # so an odd residual at the lead 2 is outside the span)
@@ -462,6 +473,65 @@ def test_field_kernel_basis_matches_transform_oracle(coeff):
             [[coeff.normalize(rng.choice((0, 0, 0, 1, -1, 2, -3))) for _ in range(c)] for _ in range(r)],
         )
         assert kernel_basis(m, coeff) == oracles.field_kernel_basis_oracle(m, coeff)
+
+
+@pytest.mark.parametrize(
+    "coeff", [Q, prime_field(2), prime_field(3), Z5], ids=["Q", "Z2", "Z3", "Z5"]
+)
+def test_echelon_mode_rows_are_the_dense_rref(coeff):
+    # the one field elimination: in echelon mode every non-empty row pivots,
+    # its pivot rows by lead are the non-zero rows of the dense RREF, and the
+    # transform takes the same row operations (u * input = rows)
+    from hypermorse import exact
+
+    rng = random.Random(6)
+    p = coeff.p if coeff.kind == "Zp" else 0
+    mats = [[], [[]], [[], []], [[0, 0, 0]], [[0], [0]], [[0, 1], [0, 0], [2, 0]]]
+    while len(mats) < 160:
+        r, c = rng.randint(0, 8), rng.randint(0, 8)
+        mats.append([[rng.choice((0, 0, 0, 1, -1, 2, -3, 4)) for _ in range(c)] for _ in range(r)])
+    for mat in mats:
+        h, _, pivots = oracles.dense_rref_with_transform(mat, coeff)
+        norm = [[coeff.normalize(x) for x in row] for row in mat]
+        rows = [{j: x for j, x in enumerate(row) if x} for row in norm]
+        u = [{i: coeff.normalize(1)} for i in range(len(mat))]
+        got, rest = exact._unit_pivots(rows, p, True, u)
+        assert rest == [] and got == {i for i, row in enumerate(rows) if row}
+        want = [{j: x for j, x in enumerate(row) if x} for row in h[: len(pivots)]]
+        assert sorted(filter(None, rows), key=min) == want
+        cols = len(mat[0]) if mat else 0
+        for ui, row in zip(u, rows):
+            combo = [coeff.normalize(sum(y * norm[k][j] for k, y in ui.items())) for j in range(cols)]
+            assert combo == [row.get(j, coeff.normalize(0)) for j in range(cols)]
+
+
+@pytest.mark.parametrize("coeff", [Q, prime_field(2), prime_field(3)], ids=["Q", "Z2", "Z3"])
+def test_field_kernel_basis_is_one_unit_pivot_pass(monkeypatch, coeff):
+    # no transform reduction, no second canonical basis and no integer
+    # echelon: one echelon-mode pass per matrix with a non-zero entry
+    from hypermorse import _kernel, exact
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a field kernel took another elimination")
+
+    passes = []
+    unit_pivots = exact._unit_pivots
+    monkeypatch.setattr(exact, "_unit_pivots", lambda *args: passes.append(args) or unit_pivots(*args))
+    monkeypatch.setattr(exact, "_factor", refuse)
+    monkeypatch.setattr(exact, "_span_basis", refuse)
+    monkeypatch.setattr(_kernel, "echelon", refuse)
+    rng = random.Random(418)
+    kernels = 0
+    for _ in range(150):
+        r, c = rng.randint(0, 8), rng.randint(0, 8)
+        entries = [[rng.choice((0, 0, 0, 0, 1, -1, 2, -3)) for _ in range(c)] for _ in range(r)]
+        m = normalize(ExactMatrix(r, c, entries), coeff)
+        passes.clear()
+        ker = kernel_basis(m, coeff)
+        assert ker == oracles.field_kernel_basis_oracle(m, coeff)
+        assert len(passes) == (not m.is_zero())
+        kernels += 0 < ker.cols < c
+    assert kernels > 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 import json
 import random
+import time
 
 import pytest
 
+from hypermorse import hypercore
+from hypermorse.errors import SizeCapExceeded
 from hypermorse.hypercore import (
     DuplicateEdgeWarning,
     Hypergraph,
@@ -227,6 +230,44 @@ def test_closure_check_matches_subset_oracle():
             assert str(exc.value) == expected
         outcomes.add(expected is None)
     assert outcomes == {True, False}
+
+
+def test_unclosed_edge_names_its_missing_face_without_listing_its_subsets():
+    # the 2^40 - 1 subsets of the edge are searched lazily, by size and then
+    # in lexicographic order, so the first one missing is found at once
+    vs = VertexSet(["v%d" % i for i in range(40)])
+    with pytest.raises(ValueError, match=r"misses face \(0,\)$"):
+        SimplicialComplex(vs, [tuple(range(40))])
+
+
+def _refuse_trusted(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a closure was built")
+
+    monkeypatch.setattr(SimplicialComplex, "_trusted", classmethod(refuse))
+
+
+def test_one_huge_hyperedge_is_refused_before_any_closure(monkeypatch):
+    _refuse_trusted(monkeypatch)
+    vs = VertexSet(["v%d" % i for i in range(30)])
+    edge = tuple(range(30))
+    start = time.perf_counter()
+    with pytest.raises(SizeCapExceeded, match="30-vertex hyperedge"):
+        delta_closure(Hypergraph(vs, [edge, (0, 1)]))
+    with pytest.raises(SizeCapExceeded):
+        power_complex(vs, edge)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_closure_cap_counts_the_faces_of_one_edge(monkeypatch):
+    # only the largest edge is read: the 9 cells of two edges pass a cap of 7
+    monkeypatch.setattr(hypercore, "MAX_CLOSURE_CELLS", 7)
+    assert len(delta_closure(Hypergraph(V4, [(0, 1, 2), (1, 3)]))) == 9
+    assert len(power_complex(V4, (0, 1, 2))) == 7
+    with pytest.raises(SizeCapExceeded):
+        delta_closure(Hypergraph(V4, [(0, 1, 2, 3)]))
+    with pytest.raises(SizeCapExceeded):
+        power_complex(V4, (0, 1, 2, 3))
 
 
 def test_unhashable_label_is_unknown():

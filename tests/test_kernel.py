@@ -1,6 +1,7 @@
-"""The elimination kernel on sparse rows: the one echelon routine (HNF over
-Z, RREF over Q and Z/p, with and without transform) against the dense oracle
-steps, and Smith invariant factors by alternating row and column HNF."""
+"""The integer elimination kernel on sparse rows: the one echelon routine
+(the canonical HNF, with and without transform) against the dense oracle
+steps, and Smith invariant factors by alternating row and column HNF.  The
+field elimination, exact._unit_pivots, is tested in test_exact.py."""
 
 import os
 import random
@@ -10,7 +11,6 @@ import sys
 import pytest
 
 from hypermorse import _kernel
-from hypermorse.coeffs import CoeffSpec, prime_field
 
 import oracles
 
@@ -105,22 +105,3 @@ def test_sparse_hnf_takes_the_dense_oracle_steps():
         assert _kernel.hnf_rows_with_transform(_sparse(mat)) == (_sparse(h), _sparse(u))
         assert _kernel.hnf_rows(_sparse(mat)) == _sparse(h[:r])
 
-
-@pytest.mark.parametrize("coeff", [CoeffSpec("Q"), prime_field(2), prime_field(3), prime_field(5)])
-def test_sparse_rref_takes_the_dense_oracle_steps(coeff):
-    # the field twin of the test above: rows, u and the pivots agree exactly
-    rng = random.Random(6)
-    p = coeff.p if coeff.kind == "Zp" else 0
-    mats = [[], [[]], [[], []], [[0, 0, 0]], [[0], [0]], [[0, 1], [0, 0], [2, 0]]]
-    while len(mats) < 160:
-        r, c = rng.randint(0, 8), rng.randint(0, 8)
-        mats.append([[rng.choice((0, 0, 0, 1, -1, 2, -3, 4)) for _ in range(c)] for _ in range(r)])
-    for mat in mats:
-        h, u, pivots = oracles.dense_rref_with_transform(mat, coeff)
-        norm = [[coeff.normalize(x) for x in row] for row in mat]
-        rows = _sparse(norm)
-        got_u, got_pivots = _kernel.echelon(rows, p, True)
-        assert (rows, got_u, got_pivots) == (_sparse(h), _sparse(u), pivots)
-        # without a transform: the same rows and pivots, and no u
-        rows = _sparse(norm)
-        assert _kernel.echelon(rows, p) == (None, pivots) and rows == _sparse(h)
