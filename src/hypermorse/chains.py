@@ -10,24 +10,25 @@ entries, zeros included, are the ring's canonical scalars (Fractions over
 Q).  Every operation is a pure function, but ∂_n of a complex over a ring
 is built once and kept on the (immutable) complex, so the sub-chain
 complexes and chain maps on one ΔH share it, and the infimum and supremum
-complexes read their blocks off its columns.  Every basis built here has
-distinct leading rows, so its ColumnSolver solves against it as it stands.
-The restricted boundaries are read off ∂'s columns, with no matrix product:
-a unit generator e_i has column i of ∂ as its image, only other generators
-combine columns, and each image is solved one non-zero dict at a time.
-Homology over Z uses the Smith invariant factors (Betti
-numbers and torsion coefficients); over Z/p it uses ranks.  Both come from
-reducing the chain complex degree by degree: the generators of each degree
-that took a unit pivot are left out of the next boundary's elimination,
-which keeps its rank and Smith form (subcomplex_homology).  Embedded and
-simplicial homology over Q are computed over Z, whose free ranks are the
-Betti numbers over Q (Q is flat over Z), so no Fraction is formed; a
-caller's own Q complex, the inf/sup bases the command line prints and
-HomologyBasis are still reduced over Q.  HomologyBasis reads its classes
-off the canonical kernel basis, in two eliminations per degree (one
-unit-pivot pass for the kernel, one for the canonical basis of the
-boundaries' coordinates), and solves a cycle with the complex's own
-ColumnSolver.
+complexes read their blocks off its columns.  Each block π∂_n|H_n is
+eliminated once: its kernel is Inf_n, and its image, merged with H_{n-1},
+is Sup_{n-1}.  Every basis built here has distinct leading rows, so its
+ColumnSolver solves against it as it stands.  The restricted boundaries are
+read off ∂'s columns, with no matrix product: a unit generator e_i has
+column i of ∂ as its image, only other generators combine columns, and each
+image is solved one non-zero dict at a time.  Homology over Z uses the
+Smith invariant factors (Betti numbers and torsion coefficients); over Z/p
+it uses ranks.  Both come from reducing the chain complex degree by degree:
+the generators of each degree that took a unit pivot are left out of the
+next boundary's elimination, which keeps its rank and Smith form
+(subcomplex_homology).  Embedded and simplicial homology over Q are
+computed over Z, whose free ranks are the Betti numbers over Q (Q is flat
+over Z), so no Fraction is formed; a caller's own Q complex, the inf/sup
+bases the command line prints and HomologyBasis are still reduced over Q.
+HomologyBasis reads its classes off the canonical kernel basis, in two
+eliminations per degree (one unit-pivot pass for the kernel, one for the
+canonical basis of the boundaries' coordinates), and solves a cycle with
+the complex's own ColumnSolver.
 """
 
 from __future__ import annotations
@@ -211,26 +212,45 @@ def edge_module_matrix(h, delta, n):
     return _inclusion_matrix(delta.edges_of_dim(n), h.edges_of_dim(n), Z)
 
 
+def _inf_and_images(h, delta, coeff):
+    """(inf, images) from one elimination of each block M_n = π∂_n|H_n
+    (_pi_block), n = 0 … top+1: inf[n] is ker M_n put at the H_n positions,
+    which increase, so it stays canonical, and images[n] pairs these
+    positions with the canonical basis of im M_{n+1}, on the n-cells."""
+    zero = coeff.normalize(0)
+    inf, hyper, images = [], [], []
+    for n in range(delta.max_dimension() + 2):
+        at, block = _pi_block(h, delta, n, coeff)
+        ker, im = exact.kernel_and_image(block, coeff)
+        cols = [{at[i]: x for i, x in col.items()} for col in ker.column_entries]
+        inf.append(ExactMatrix.from_sparse_columns(len(delta.edges_of_dim(n)), len(cols), cols, zero))
+        hyper.append(at)
+        images.append(im)
+    return inf[:-1], list(zip(hyper, images[1:]))
+
+
+def _sup_bases(images, coeff):
+    """The bases of H_n ⊕ im M_{n+1}, merged by lead (the least key): the
+    supports are disjoint, so the merge is already canonical."""
+    one, zero = coeff.normalize(1), coeff.normalize(0)
+    basis = []
+    for at, im in images:
+        cols = sorted([{i: one} for i in at] + list(im.column_entries), key=min)
+        basis.append(ExactMatrix.from_sparse_columns(im.rows, len(cols), cols, zero))
+    return basis
+
+
 def inf_complex(h, coeff=Z, delta=None):
     """Largest sub-chain complex of C_*(ΔH) contained in the hyperedge modules.
 
     Degree n is the intersection of the degree-n hyperedge module H_n with
     the boundary preimage of H_{n-1}.  H_n is a coordinate submodule, so this
     is Inf_n = ker(π ∂_n|H_n), where π keeps only the (n-1)-cells of ΔH that
-    are not hyperedges.  The block is read off the kept ∂_n (_pi_block), and
-    its canonical kernel basis is put at the H_n positions of the degree-n
-    basis: the positions increase, so the basis stays canonical.
+    are not hyperedges: the kernel half of _inf_and_images, with no merge.
     """
     if delta is None:
         delta = hypercore.delta_closure(h)
-    zero = coeff.normalize(0)
-    basis = []
-    for n in range(delta.max_dimension() + 1):
-        at, block = _pi_block(h, delta, n, coeff)
-        ker = exact.kernel_basis(block, coeff).column_entries
-        cols = [{at[i]: x for i, x in col.items()} for col in ker]
-        basis.append(ExactMatrix.from_sparse_columns(len(delta.edges_of_dim(n)), len(cols), cols, zero))
-    return SubChainComplex(delta, coeff, basis)
+    return SubChainComplex(delta, coeff, _inf_and_images(h, delta, coeff)[0])
 
 
 def sup_complex(h, coeff=Z, delta=None):
@@ -238,25 +258,12 @@ def sup_complex(h, coeff=Z, delta=None):
 
     Degree n is H_n + ∂H_{n+1}.  H_n is a coordinate submodule, so this is
     Sup_n = H_n ⊕ π'∂_{n+1}(H_{n+1}), where π' keeps only the n-cells that
-    are not hyperedges; the block is read off the kept ∂_{n+1} (_pi_block)
-    and its rows are already the n-cells of ΔH.  The canonical basis is the
-    unit columns of H_n merged with the canonical basis of the second
-    summand, ordered by leading row: the supports are disjoint, so the
-    merge is already canonical.
+    are not hyperedges: the image of the block whose kernel is Inf_{n+1}.
     """
     if delta is None:
         delta = hypercore.delta_closure(h)
-    one, zero = coeff.normalize(1), coeff.normalize(0)
-    basis = []
-    for n in range(delta.max_dimension() + 1):
-        cells = delta.edges_of_dim(n)
-        _, block = _pi_block(h, delta, n + 1, coeff)
-        # columns as {cell position: value}; the leading row is the least key
-        cols = list(exact.canonical_basis(block, coeff).column_entries)
-        cols += [{i: one} for i, e in enumerate(cells) if h.contains_edge(e)]
-        cols.sort(key=min)
-        basis.append(ExactMatrix.from_sparse_columns(len(cells), len(cols), cols, zero))
-    return SubChainComplex(delta, coeff, basis)
+    images = _inf_and_images(h, delta, coeff)[1]
+    return SubChainComplex(delta, coeff, _sup_bases(images, coeff))
 
 
 @dataclass(frozen=True)
@@ -370,8 +377,10 @@ def embedded_homology(h, coeff=Z):
     """
     ring = _integral(coeff)
     delta = hypercore.delta_closure(h)
-    via_inf = subcomplex_homology(inf_complex(h, ring, delta))
-    via_sup = subcomplex_homology(sup_complex(h, ring, delta))
+    inf, images = _inf_and_images(h, delta, ring)
+    via_inf = subcomplex_homology(SubChainComplex(delta, ring, inf))
+    del inf  # as with two calls, no infimum basis is held while Sup is built
+    via_sup = subcomplex_homology(SubChainComplex(delta, ring, _sup_bases(images, ring)))
     if via_inf != via_sup:
         raise InternalConsistencyError(
             "infimum- and supremum-derived homology disagree: %r vs %r"

@@ -23,10 +23,11 @@ eliminate one whole matrix.
 Canonical bases make span-level statements testable as structural matrix
 equality: column Hermite normal form over Z (_kernel.hnf_rows) and reduced
 column echelon form over fields (_unit_pivots in echelon mode).  Kernels
-are read off transforms, over a field in one pass.  A ColumnSolver solves
-on lines with distinct leading rows: the basis columns as they stand when
-their leads are distinct already (every basis of the chain layer), else the
-echelon rows of _factor.
+are read off transforms, over a field in one pass, and the same
+elimination gives the image's canonical basis (kernel_and_image).  A
+ColumnSolver solves on lines with distinct leading rows: the basis columns
+as they stand when their leads are distinct already (every basis of the
+chain layer), else the echelon rows of _factor.
 """
 
 from __future__ import annotations
@@ -240,19 +241,6 @@ def _modulus(coeff):
 # canonical bases, kernels, solving
 
 
-def _span_basis(vectors, length, coeff):
-    """The canonical basis (HNF over Z, RREF over fields) of the span of
-    sparse vectors of the given length, as a matrix with the basis vectors
-    as its columns."""
-    if coeff.kind == "Z":
-        h = _kernel.hnf_rows(vectors)
-    else:
-        h = _normalized(vectors, coeff)
-        _unit_pivots(h, _modulus(coeff), True)
-        h = sorted(filter(None, h), key=min)
-    return ExactMatrix.from_sparse_columns(length, len(h), h, coeff.normalize(0))
-
-
 def _factor(columns, coeff):
     """(h, u): the echelon form h of sparse columns taken as rows (HNF over
     Z, with its zero rows last; RREF over fields, from echelon mode), and
@@ -271,7 +259,13 @@ def canonical_basis(m, coeff):
 
     Zero columns are dropped; equal spans yield identical matrices.
     """
-    return _span_basis(m.column_entries, m.rows, coeff)
+    if coeff.kind == "Z":
+        h = _kernel.hnf_rows(m.column_entries)
+    else:
+        h = _normalized(m.column_entries, coeff)
+        _unit_pivots(h, _modulus(coeff), True)
+        h = sorted(filter(None, h), key=min)
+    return ExactMatrix.from_sparse_columns(m.rows, len(h), h, coeff.normalize(0))
 
 
 def hermite_basis(m):
@@ -279,28 +273,39 @@ def hermite_basis(m):
     return canonical_basis(m, CoeffSpec("Z"))
 
 
-def kernel_basis(m, coeff):
-    """Canonical basis (columns) of {x : m*x = 0} over the given ring.
+def kernel_and_image(m, coeff):
+    """(kernel_basis(m, coeff), canonical_basis(m, coeff)) from one elimination.
 
-    Over Z the transform rows opposite the zero rows of m's reduced columns
-    (_factor) are a basis of the kernel lattice (which is saturated); their
-    HNF is returned.  Over a field one echelon-mode pass takes m's columns
-    last first: the transform row of a column left empty holds 1 there and
-    else only entries at later columns that pivoted, which no other such row
-    holds, so in column order these rows are the kernel's RREF already.  A
-    zero matrix (no rows, say) has the identity as kernel, with no elimination.
+    Over Z: the HNF of the relation rows of _factor's transform (the kernel
+    lattice is saturated), and the non-zero rows of its HNF, which echelon
+    reaches by the same steps as hnf_rows.  Over a field one echelon-mode
+    pass takes m's columns last first: the transform row of a column left
+    empty holds 1 there and else only entries at later columns that
+    pivoted, which no other such row holds, so in column order these rows
+    are the kernel's RREF already; the rows left non-empty, by lead, are the
+    image's.  A zero matrix (no rows, say) has the identity as kernel and no
+    image, with no elimination.
     """
     if m.is_zero():
-        units = [{i: coeff.normalize(1)} for i in range(m.cols)]
-        return ExactMatrix.from_sparse_columns(m.cols, m.cols, units, coeff.normalize(0))
-    if coeff.kind == "Z":
+        ker, im = [{i: coeff.normalize(1)} for i in range(m.cols)], []
+    elif coeff.kind == "Z":
         h, u = _factor(m.column_entries, coeff)
-        return _span_basis(u[sum(map(bool, h)) :], m.cols, coeff)
-    rows = _normalized(reversed(m.column_entries), coeff)
-    u = [{j: coeff.normalize(1)} for j in reversed(range(m.cols))]
-    _unit_pivots(rows, _modulus(coeff), True, u)
-    ker = [u[t] for t in reversed(range(m.cols)) if not rows[t]]
-    return ExactMatrix.from_sparse_columns(m.cols, len(ker), ker, coeff.normalize(0))
+        r = sum(map(bool, h))
+        ker, im = _kernel.hnf_rows(u[r:]), h[:r]
+    else:
+        rows = _normalized(reversed(m.column_entries), coeff)
+        u = [{j: coeff.normalize(1)} for j in reversed(range(m.cols))]
+        _unit_pivots(rows, _modulus(coeff), True, u)
+        ker = [u[t] for t in reversed(range(m.cols)) if not rows[t]]
+        im = sorted(filter(None, rows), key=min)
+    zero = coeff.normalize(0)
+    ker = ExactMatrix.from_sparse_columns(m.cols, len(ker), ker, zero)
+    return ker, ExactMatrix.from_sparse_columns(m.rows, len(im), im, zero)
+
+
+def kernel_basis(m, coeff):
+    """Canonical basis (columns) of {x : m*x = 0} over the given ring."""
+    return kernel_and_image(m, coeff)[0]
 
 
 class ColumnSolver:

@@ -53,17 +53,6 @@ def nonempty_subsets(edge):
         yield from itertools.combinations(edge, k)
 
 
-def _check_cap(dim):
-    """SizeCapExceeded if the faces of one edge of dimension dim alone are
-    more than MAX_CLOSURE_CELLS."""
-    cells = (1 << (dim + 1)) - 1
-    if cells > MAX_CLOSURE_CELLS:
-        raise SizeCapExceeded(
-            "a %d-vertex hyperedge has %d faces, over the cap of %d cells"
-            % (dim + 1, cells, MAX_CLOSURE_CELLS)
-        )
-
-
 class VertexSet:
     """An ordered set of distinct vertex labels; list order is the total order."""
 
@@ -268,9 +257,7 @@ dimension = edge_dimension
 def power_complex(vertex_set, edge):
     """The simplicial complex of all non-empty subsets of a single edge;
     SizeCapExceeded when there are more than MAX_CLOSURE_CELLS."""
-    edge = _validate_edge(edge, len(vertex_set))
-    _check_cap(edge_dimension(edge))
-    return SimplicialComplex(vertex_set, nonempty_subsets(edge))
+    return delta_closure(Hypergraph(vertex_set, [edge]))
 
 
 def delta_closure(h):
@@ -280,7 +267,12 @@ def delta_closure(h):
     alone has more than MAX_CLOSURE_CELLS faces."""
     if isinstance(h, SimplicialComplex):
         return h
-    _check_cap(h.max_dimension())
+    faces = (1 << (h.max_dimension() + 1)) - 1
+    if faces > MAX_CLOSURE_CELLS:
+        raise SizeCapExceeded(
+            "a %d-vertex hyperedge has %d faces, over the cap of %d cells"
+            % (h.max_dimension() + 1, faces, MAX_CLOSURE_CELLS)
+        )
     # walk down one dimension at a time: the n-cells are the n-edges plus the
     # codimension-1 faces of the (n+1)-cells, each face kept once
     levels = []

@@ -725,6 +725,38 @@ def test_embedded_homology_builds_each_boundary_once(monkeypatch, h_section6, hp
         assert sorted(calls) == list(range(1, delta_closure(h).max_dimension() + 1))
 
 
+@pytest.mark.parametrize("coeff", [Z, Q, prime_field(3)], ids=["Z", "Q", "Z3"])
+def test_each_pi_block_is_eliminated_once(monkeypatch, coeff, h_section6, hp_224):
+    # Inf_n = ker M_n and Sup_{n-1} = H_{n-1} ⊕ im M_n come from one
+    # elimination of each block M_n, n = 0 … top+1; inf_complex alone
+    # merges no supremum basis
+    from hypermorse import chains
+
+    blocks = []
+    cut = chains._pi_block
+
+    def counting(h, delta, n, ring):
+        blocks.append(n)
+        return cut(h, delta, n, ring)
+
+    def refuse(*args):
+        raise AssertionError("a block was eliminated twice")
+
+    monkeypatch.setattr(chains, "_pi_block", counting)
+    monkeypatch.setattr(exact, "canonical_basis", refuse)
+    rng = random.Random(432)
+    hs = [h_section6, hp_224] + [generators.random_hypergraph(rng, 7, 16) for _ in range(10)]
+    for h in hs:
+        blocks.clear()
+        embedded_homology(h, coeff)
+        assert sorted(blocks) == list(range(delta_closure(h).max_dimension() + 2))
+    monkeypatch.setattr(chains, "_sup_bases", refuse)
+    for h in hs:
+        blocks.clear()
+        inf_complex(h, coeff)
+        assert sorted(blocks) == list(range(delta_closure(h).max_dimension() + 2))
+
+
 def test_boundaries_are_kept_on_the_complex_per_ring(monkeypatch, h_section6):
     from hypermorse import chains
 

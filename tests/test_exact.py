@@ -9,6 +9,7 @@ from hypermorse.exact import (
     ExactMatrix,
     canonical_basis,
     hermite_basis,
+    kernel_and_image,
     kernel_basis,
     matmul,
     matvec,
@@ -216,6 +217,7 @@ def test_kernel_basis_random(monkeypatch):
             ker = kernel_basis(m, coeff)
             assert matmul(m, ker, coeff).is_zero()
             assert ker.cols == c - rank(m, coeff)
+            assert kernel_and_image(m, coeff) == (ker, canonical_basis(m, coeff))
     # a matrix with rows but no non-zero has the identity as kernel, with no
     # elimination
     from hypermorse import exact
@@ -226,6 +228,9 @@ def test_kernel_basis_random(monkeypatch):
     for coeff in (Z, Q, Z5):
         ker = kernel_basis(ExactMatrix.zeros(3, 4), coeff)
         assert ker == ExactMatrix.identity(4)
+        im = canonical_basis(ExactMatrix.zeros(3, 4), coeff)
+        assert kernel_and_image(ExactMatrix.zeros(3, 4), coeff) == (ker, im)
+        assert (im.rows, im.cols) == (3, 0)
         assert {type(x) for row in ker.data for x in row} == {type(coeff.normalize(0))}
     assert factored == []
 
@@ -465,6 +470,7 @@ def test_column_solver_non_divisible_over_z():
 )
 def test_field_kernel_basis_matches_transform_oracle(coeff):
     rng = random.Random(405)
+    zeros = 0
     for _ in range(150):
         r, c = rng.randint(0, 7), rng.randint(0, 7)
         m = ExactMatrix(
@@ -473,6 +479,12 @@ def test_field_kernel_basis_matches_transform_oracle(coeff):
             [[coeff.normalize(rng.choice((0, 0, 0, 1, -1, 2, -3))) for _ in range(c)] for _ in range(r)],
         )
         assert kernel_basis(m, coeff) == oracles.field_kernel_basis_oracle(m, coeff)
+        ker, im = kernel_and_image(m, coeff)
+        assert (ker, im) == (kernel_basis(m, coeff), canonical_basis(m, coeff))
+        if m.is_zero():
+            assert (im.rows, im.cols) == (r, 0)
+            zeros += 1
+    assert zeros > 0
 
 
 @pytest.mark.parametrize(
@@ -518,7 +530,7 @@ def test_field_kernel_basis_is_one_unit_pivot_pass(monkeypatch, coeff):
     unit_pivots = exact._unit_pivots
     monkeypatch.setattr(exact, "_unit_pivots", lambda *args: passes.append(args) or unit_pivots(*args))
     monkeypatch.setattr(exact, "_factor", refuse)
-    monkeypatch.setattr(exact, "_span_basis", refuse)
+    monkeypatch.setattr(exact, "canonical_basis", refuse)
     monkeypatch.setattr(_kernel, "echelon", refuse)
     rng = random.Random(418)
     kernels = 0

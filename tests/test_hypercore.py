@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import time
@@ -268,6 +269,18 @@ def test_closure_cap_counts_the_faces_of_one_edge(monkeypatch):
         delta_closure(Hypergraph(V4, [(0, 1, 2, 3)]))
     with pytest.raises(SizeCapExceeded):
         power_complex(V4, (0, 1, 2, 3))
+
+
+def test_power_complex_builds_through_the_closure(monkeypatch):
+    # a power set is closed by construction, so no closure check runs on it
+    def refuse(h):
+        raise AssertionError("the closure of a power set was checked")
+
+    monkeypatch.setattr(hypercore, "_first_unclosed", refuse)
+    for edge in [(0, 1, 2, 3), (1, 3), (2,)]:
+        got = power_complex(V4, edge)
+        assert isinstance(got, SimplicialComplex)
+        assert got.edges == tuple(c for k in range(1, 5) for c in itertools.combinations(edge, k))
 
 
 def test_unhashable_label_is_unknown():
