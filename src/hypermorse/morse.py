@@ -7,10 +7,11 @@ Gradient fields pair faces with cofaces; properness, semi-properness and the
 no-closed-path condition are checked combinatorially and cross-validated
 against the induced degree-raising linear map.  Every operation is a pure
 function.  What the analyses share is kept on the immutable object it comes
-from, built on first use: on a MorseFunction the one scan of its values, its
-critical report and its restrictions; on a GradientField its linear map per
-ring and its acyclicity check.  Callers share them by calling the public
-functions again.
+from, built on first use: on a MorseFunction the one scan of its values (read
+by the Morse check, the critical report, the gradient, the obstruction and the
+extension search, whose pair counts start from it), its critical report and
+its restrictions; on a GradientField its linear map per ring and its
+acyclicity check.  Callers share them by calling the public functions again.
 """
 
 from __future__ import annotations
@@ -30,20 +31,6 @@ from .errors import (
 )
 from .exact import ExactMatrix
 from .hypercore import edge_sort_key
-
-
-def _adjacency(h):
-    """faces[e] and cofaces[e]: codimension-1 neighbours inside h, in no
-    particular order (the extension search only counts them)."""
-    faces = {e: [] for e in h.edges}
-    cofaces = {e: [] for e in h.edges}
-    edge_set = h._edge_set
-    for e in h.edges:
-        for f in hypercore.codim1_faces(e):
-            if f in edge_set:
-                faces[e].append(f)
-                cofaces[f].append(e)
-    return faces, cofaces
 
 
 def _as_fraction(x):
@@ -427,6 +414,10 @@ def search_extension(f, grid_levels=None, max_unknowns=6):
     every weak order of the unknowns against the fixed values, so the search
     is complete.  It runs over integer slots that stand for the levels in
     increasing order, and turns the chosen slots into rationals at the end.
+    A slot is tested on counts, not by rescanning: which cells already have a
+    low coface or a high face starts from the scan kept on f, and placing a
+    cell reads and updates them only at its own faces and cofaces, so the
+    slots that fit are one run read off its highest face and lowest coface.
     grid_levels is a lower bound on the fresh levels per value gap; it never
     drops below the number of unknowns, which completeness needs.  When some
     hyperedge has both a low coface and a high face (a non-empty
@@ -452,52 +443,54 @@ def search_extension(f, grid_levels=None, max_unknowns=6):
     slots, nslots = _candidate_levels(distinct, per_gap)
     slot_of = dict(zip(distinct, slots))
 
-    faces_d, cofaces_d = _adjacency(delta)
     values = {e: slot_of[v] for e, v in f.values.items()}
-
-    def violates(cell):
-        # Morse conditions on the sub-hypergraph of currently valued cells,
-        # checked only where the new assignment can change counts.
-        fc = values[cell]
-        low = 0
-        for b in cofaces_d[cell]:
-            if b in values and values[b] <= fc:
-                low += 1
-                if low > 1:
-                    return True
-        high = 0
-        for g in faces_d[cell]:
-            if g in values and values[g] >= fc:
-                high += 1
-                if high > 1:
-                    return True
-        for g in faces_d[cell]:
-            if g in values and fc <= values[g]:
-                cnt = 0
-                for b in cofaces_d[g]:
-                    if b in values and values[b] <= values[g]:
-                        cnt += 1
-                        if cnt > 1:
-                            return True
-        for b in cofaces_d[cell]:
-            if b in values and fc >= values[b]:
-                cnt = 0
-                for g in faces_d[b]:
-                    if g in values and values[g] >= values[b]:
-                        cnt += 1
-                        if cnt > 1:
-                            return True
-        return False
+    # the cells that have a low coface or a high face: seeded from the scan
+    # kept on f and updated as unknowns are placed
+    low, high = _require_morse(f)
+    has_low = {e for e in f.host.edges if low[e]}
+    has_high = {e for e in f.host.edges if high[e]}
+    # unknowns are placed by size, so when one is placed all its faces are
+    # valued and, of its cofaces, only the hyperedges
+    nv = len(f.host.vertex_set)
+    plan = []
+    for u in unknowns:
+        grown = (tuple(sorted(u + (v,))) for v in range(nv) if v not in u)
+        plan.append((u, hypercore.codim1_faces(u), [b for b in grown if b in in_host]))
 
     def dfs(i):
-        if i == len(unknowns):
+        if i == k:
             return True
-        cell = unknowns[i]
-        for slot in range(nslots):
+        cell, faces, cofaces = plan[i]
+        # at most one face may sit at or above the slot and one coface at or
+        # below it, and that neighbour must have no such partner yet: the
+        # slots that fit run from lo to hi
+        faces = sorted(faces, key=values.__getitem__, reverse=True)
+        cofaces = sorted(cofaces, key=values.__getitem__)
+        top = faces[0] if faces else None
+        bottom = cofaces[0] if cofaces else None
+        lo = values[faces[1]] + 1 if len(faces) > 1 else 0
+        if top in has_low:
+            lo = values[top] + 1
+        hi = values[cofaces[1]] - 1 if len(cofaces) > 1 else nslots - 1
+        if bottom in has_high:
+            hi = values[bottom] - 1
+        for slot in range(lo, hi + 1):
             values[cell] = slot
-            if not violates(cell) and dfs(i + 1):
+            # the exceptional pairs (face, coface) the slot makes: the face
+            # gains a low coface and the coface a high face
+            pairs = []
+            if top is not None and values[top] >= slot:
+                pairs.append((top, cell))
+            if bottom is not None and values[bottom] <= slot:
+                pairs.append((cell, bottom))
+            for g, b in pairs:
+                has_low.add(g)
+                has_high.add(b)
+            if dfs(i + 1):
                 return True
-            del values[cell]
+            for g, b in pairs:
+                has_low.discard(g)
+                has_high.discard(b)
         return False
 
     if not dfs(0):
