@@ -188,8 +188,7 @@ class SubChainComplex:
 def full_complex(k, coeff):
     """C_*(K) of a simplicial complex as a sub-chain complex of itself."""
     k = hypercore.as_simplicial(k)
-    cells = [k.edges_of_dim(n) for n in range(k.max_dimension() + 1)]
-    return SubChainComplex(k, coeff, [_inclusion_matrix(c, c, coeff) for c in cells])
+    return coordinate_subcomplex(k, k, coeff)
 
 
 def coordinate_subcomplex(ambient, sub, coeff):

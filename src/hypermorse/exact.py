@@ -22,12 +22,16 @@ eliminate one whole matrix.
 
 Canonical bases make span-level statements testable as structural matrix
 equality: column Hermite normal form over Z (_kernel.hnf_rows) and reduced
-column echelon form over fields (_unit_pivots in echelon mode).  Kernels
-are read off transforms, over a field in one pass, and the same
-elimination gives the image's canonical basis (kernel_and_image).  A
-ColumnSolver solves on lines with distinct leading rows: the basis columns
-as they stand when their leads are distinct already (every basis of the
-chain layer), else the echelon rows of _factor.
+column echelon form over fields (_unit_pivots in echelon mode).  Every
+basis is eliminated in one place, _factor: over Z the HNF, with its
+transform when one is read; over a field one echelon-mode pass, which
+takes the columns last first when it records the transform.  Its
+non-empty rows are the canonical basis, and kernel_and_image reads the
+kernel off the transform rows opposite its empty rows, so one elimination
+gives both.  A ColumnSolver solves on lines with distinct leading rows:
+the basis columns as they stand when their leads are distinct already
+(every basis of the chain layer), else the echelon rows of _factor.
+module_intersection is a times the preimage of b.
 """
 
 from __future__ import annotations
@@ -241,30 +245,38 @@ def _modulus(coeff):
 # canonical bases, kernels, solving
 
 
-def _factor(columns, coeff):
-    """(h, u): the echelon form h of sparse columns taken as rows (HNF over
-    Z, with its zero rows last; RREF over fields, from echelon mode), and
-    the transform u with u * columns = h.  Over Z the rows of u opposite the
-    zero rows of h are a basis of the relations among the columns."""
+def _factor(columns, coeff, transform=True):
+    """(h, u): the echelon form h of sparse columns taken as rows, and the
+    transform u with u * columns = h (None unless transform); every basis
+    is eliminated here.  Over Z h is the HNF, its zero rows last (dropped
+    without transform), and the rows of u opposite them are a basis of the
+    relations among the columns.  Over a field one echelon-mode pass gives
+    the RREF rows as the non-empty rows of h.  With a transform it takes
+    the columns last first and h and u come back in column order: the
+    transform row of a column left empty holds 1 there and else only
+    entries at later columns that pivoted, which no other such row holds,
+    so in column order these rows are the kernel's RREF already.  Without
+    one the columns are taken as given: the RREF is the same, and a
+    homology basis's boundary coordinates fill in less in that order."""
     if coeff.kind == "Z":
-        return _kernel.hnf_rows_with_transform(columns)
-    h = _normalized(columns, coeff)
-    u = [{i: coeff.normalize(1)} for i in range(len(h))]
+        if transform:
+            return _kernel.hnf_rows_with_transform(columns)
+        return _kernel.hnf_rows(columns), None
+    step = -1 if transform else 1
+    h = _normalized(columns[::step], coeff)
+    u = [{j: coeff.normalize(1)} for j in reversed(range(len(h)))] if transform else None
     _unit_pivots(h, _modulus(coeff), True, u)
-    return h, u
+    return h[::step], u[::-1] if transform else None
 
 
 def canonical_basis(m, coeff):
     """Canonical basis of the column span: HNF over Z, RCEF over fields.
 
-    Zero columns are dropped; equal spans yield identical matrices.
+    Zero columns are dropped; equal spans yield identical matrices.  A zero
+    matrix has no basis column, with no elimination.
     """
-    if coeff.kind == "Z":
-        h = _kernel.hnf_rows(m.column_entries)
-    else:
-        h = _normalized(m.column_entries, coeff)
-        _unit_pivots(h, _modulus(coeff), True)
-        h = sorted(filter(None, h), key=min)
+    h = [] if m.is_zero() else filter(None, _factor(m.column_entries, coeff, False)[0])
+    h = sorted(h, key=min)
     return ExactMatrix.from_sparse_columns(m.rows, len(h), h, coeff.normalize(0))
 
 
@@ -274,30 +286,22 @@ def hermite_basis(m):
 
 
 def kernel_and_image(m, coeff):
-    """(kernel_basis(m, coeff), canonical_basis(m, coeff)) from one elimination.
+    """(kernel_basis(m, coeff), canonical_basis(m, coeff)) from one _factor.
 
-    Over Z: the HNF of the relation rows of _factor's transform (the kernel
-    lattice is saturated), and the non-zero rows of its HNF, which echelon
-    reaches by the same steps as hnf_rows.  Over a field one echelon-mode
-    pass takes m's columns last first: the transform row of a column left
-    empty holds 1 there and else only entries at later columns that
-    pivoted, which no other such row holds, so in column order these rows
-    are the kernel's RREF already; the rows left non-empty, by lead, are the
-    image's.  A zero matrix (no rows, say) has the identity as kernel and no
-    image, with no elimination.
+    The kernel is spanned by the transform rows opposite the empty echelon
+    rows: in RREF already over a field, and put in HNF over Z (the kernel
+    lattice is saturated).  The non-empty echelon rows, by lead, are the
+    image's canonical basis.  A zero matrix (no rows, say) has the identity
+    as kernel and no image, with no elimination.
     """
     if m.is_zero():
         ker, im = [{i: coeff.normalize(1)} for i in range(m.cols)], []
-    elif coeff.kind == "Z":
-        h, u = _factor(m.column_entries, coeff)
-        r = sum(map(bool, h))
-        ker, im = _kernel.hnf_rows(u[r:]), h[:r]
     else:
-        rows = _normalized(reversed(m.column_entries), coeff)
-        u = [{j: coeff.normalize(1)} for j in reversed(range(m.cols))]
-        _unit_pivots(rows, _modulus(coeff), True, u)
-        ker = [u[t] for t in reversed(range(m.cols)) if not rows[t]]
-        im = sorted(filter(None, rows), key=min)
+        h, u = _factor(m.column_entries, coeff)
+        ker = [u[t] for t, row in enumerate(h) if not row]
+        if coeff.kind == "Z":
+            ker = _kernel.hnf_rows(ker)
+        im = sorted(filter(None, h), key=min)
     zero = coeff.normalize(0)
     ker = ExactMatrix.from_sparse_columns(m.cols, len(ker), ker, zero)
     return ker, ExactMatrix.from_sparse_columns(m.rows, len(im), im, zero)
@@ -494,12 +498,6 @@ def snf_diagonal(m):
 # module-level operations (sums, intersections, preimages of spans)
 
 
-def _top_rows(m, n):
-    """The first n rows of m."""
-    columns = [{i: x for i, x in c.items() if i < n} for c in m.column_entries]
-    return ExactMatrix.from_sparse_columns(n, m.cols, columns, m.zero)
-
-
 def module_sum(a, b, coeff):
     """Canonical basis of span(a) + span(b) in a common ambient."""
     if a.rows != b.rows:
@@ -508,17 +506,15 @@ def module_sum(a, b, coeff):
 
 
 def module_intersection(a, b, coeff):
-    """Canonical basis of span(a) ∩ span(b) via the kernel of [a | -b]."""
+    """Canonical basis of span(a) ∩ span(b): a times the preimage of b."""
     if a.rows != b.rows:
         raise ValueError("ambient dimension mismatch")
-    if a.cols == 0 or b.cols == 0:
-        return ExactMatrix.zeros(a.rows, 0)
-    ker = kernel_basis(a.hstack(b.negate()), coeff)
-    return canonical_basis(matmul(a, _top_rows(ker, a.cols), coeff), coeff)
+    return canonical_basis(matmul(a, preimage_module(a, b, coeff), coeff), coeff)
 
 
 def preimage_module(map_matrix, target_basis, coeff):
-    """Canonical basis of {x : map_matrix*x ∈ span(target_basis)}."""
+    """Canonical basis of {x : map_matrix*x ∈ span(target_basis)}: the top
+    rows of the kernel of [map_matrix | -target_basis]."""
     if map_matrix.rows != target_basis.rows:
         raise ValueError("codomain dimension mismatch")
     s = map_matrix.cols
@@ -527,4 +523,5 @@ def preimage_module(map_matrix, target_basis, coeff):
     if target_basis.cols == 0:
         return kernel_basis(map_matrix, coeff)
     ker = kernel_basis(map_matrix.hstack(target_basis.negate()), coeff)
-    return canonical_basis(_top_rows(ker, s), coeff)
+    top = [{i: x for i, x in c.items() if i < s} for c in ker.column_entries]
+    return canonical_basis(ExactMatrix.from_sparse_columns(s, ker.cols, top, ker.zero), coeff)

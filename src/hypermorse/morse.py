@@ -267,15 +267,17 @@ def _linear_map(v, coeff):
 
 
 def apply_linear_map(glm, chain):
-    """Apply a graded linear map to a chain given as {edge: coefficient}."""
+    """Apply a graded linear map to a chain given as {edge: coefficient}.
+    ValueError if the chain names an edge outside the host."""
     host = glm.host
+    for e in chain:
+        if not host.contains_edge(e):
+            raise ValueError("chain references an edge outside the host: %r" % (e,))
     out = {}
     for alpha, c in chain.items():
         if not c:
             continue
         n = hypercore.edge_dimension(alpha)
-        if n >= len(glm.matrices):
-            continue
         cod = host.edges_of_dim(n + 1)
         col = glm.matrices[n].column_entries[host.edges_of_dim(n).index(alpha)]
         for i, x in sorted(col.items()):

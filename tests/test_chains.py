@@ -213,6 +213,18 @@ def test_embedded_equals_simplicial_on_complexes():
         a = embedded_homology(k, Z)
         b = simplicial_homology(k, Z)
         assert a == b
+        # the same complex given as a plain Hypergraph is converted first
+        plain = Hypergraph(k.vertex_set, k.edges)
+        assert type(plain) is Hypergraph
+        for coeff in (Z, Q, Z7):
+            via, direct = full_complex(plain, coeff), full_complex(k, coeff)
+            assert via.ambient.edges == k.edges
+            assert (via.basis, via.restricted) == (direct.basis, direct.restricted)
+            assert simplicial_homology(plain, coeff) == simplicial_homology(k, coeff)
+    hollow = Hypergraph.from_labels(["a", "b", "c"], [["a", "b"], ["b", "c"], ["a", "c"]])
+    for build in (full_complex, simplicial_homology):
+        with pytest.raises(ValueError, match="not downward closed"):
+            build(hollow, Z)
 
 
 def test_euler_characteristic_matches_betti_over_field():

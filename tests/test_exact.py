@@ -256,6 +256,17 @@ def test_module_intersection_basics():
     e1 = ExactMatrix.from_columns([(1, 0)], 2)
     e2 = ExactMatrix.from_columns([(0, 1)], 2)
     assert module_intersection(e1, e2, Z).cols == 0
+    # a zero-column operand on either side: the intersection is 3 x 0, and
+    # the preimage of nothing is the kernel, of a map from nothing 0 x 0
+    none = ExactMatrix.zeros(3, 0)
+    for coeff in (Z, Q, Z5):
+        a = normalize(ExactMatrix.from_rows([[1, 2, 0], [0, 0, 0], [2, 4, 1]]), coeff)
+        assert module_intersection(a, none, coeff) == ExactMatrix.zeros(3, 0)
+        assert module_intersection(none, a, coeff) == ExactMatrix.zeros(3, 0)
+        assert module_intersection(none, none, coeff) == ExactMatrix.zeros(3, 0)
+        assert preimage_module(a, none, coeff) == kernel_basis(a, coeff)
+        assert preimage_module(a, none, coeff).cols == 1
+        assert preimage_module(none, a, coeff) == ExactMatrix.zeros(0, 0)
 
 
 def test_preimage_module_basics():
@@ -519,8 +530,8 @@ def test_echelon_mode_rows_are_the_dense_rref(coeff):
 
 @pytest.mark.parametrize("coeff", [Q, prime_field(2), prime_field(3)], ids=["Q", "Z2", "Z3"])
 def test_field_kernel_basis_is_one_unit_pivot_pass(monkeypatch, coeff):
-    # no transform reduction, no second canonical basis and no integer
-    # echelon: one echelon-mode pass per matrix with a non-zero entry
+    # no second canonical basis and no integer echelon: one echelon-mode
+    # pass, in _factor, per matrix with a non-zero entry
     from hypermorse import _kernel, exact
 
     def refuse(*args, **kwargs):
@@ -529,7 +540,6 @@ def test_field_kernel_basis_is_one_unit_pivot_pass(monkeypatch, coeff):
     passes = []
     unit_pivots = exact._unit_pivots
     monkeypatch.setattr(exact, "_unit_pivots", lambda *args: passes.append(args) or unit_pivots(*args))
-    monkeypatch.setattr(exact, "_factor", refuse)
     monkeypatch.setattr(exact, "canonical_basis", refuse)
     monkeypatch.setattr(_kernel, "echelon", refuse)
     rng = random.Random(418)

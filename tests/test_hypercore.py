@@ -95,6 +95,12 @@ def test_is_subhypergraph(h_section6):
     c = Hypergraph.from_labels(["v0", "v1", "v2"], [["v0", "v2"]])
     d = Hypergraph.from_labels(["v0", "v1", "v2"], [["v0", "v1"]])
     assert not is_subhypergraph(c, d)
+    # an inner hypergraph on other labels is matched label by label, not by
+    # vertex index: {a, c} is no edge, though its indices (0, 1) are those of
+    # {a, b}
+    outer = Hypergraph.from_labels(["a", "b", "c"], [["a"], ["b"], ["c"], ["a", "b"], ["b", "c"]])
+    assert is_subhypergraph(Hypergraph.from_labels(["c", "b"], [["b", "c"], ["c"]]), outer)
+    assert not is_subhypergraph(Hypergraph.from_labels(["a", "c"], [["a", "c"]]), outer)
 
 
 def test_is_subhypergraph_unknown_label():

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -198,6 +199,11 @@ def test_linear_map_sums_multiple_pairs():
     v = GradientField(h, [((0,), (0, 1)), ((0,), (0, 2))])
     glm = linear_map(v, Z)
     assert apply_linear_map(glm, {(0,): 1}) == {(0, 1): 1, (0, 2): 1}
+    # an edge above the host's top dimension, or any other edge outside the
+    # host, is refused by name
+    for outside in ((0, 1, 2), (1,)):
+        with pytest.raises(ValueError, match="outside the host: %s" % re.escape(repr(outside))):
+            apply_linear_map(glm, {(0,): 1, outside: 1})
 
 
 def test_is_proper(fbar_section6, f_311):
